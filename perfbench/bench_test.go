@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -114,6 +115,27 @@ func TestOracleAgreesWithEngine(t *testing.T) {
 	toggle(2)
 	toggle(1)
 	check("after restoring 1 and cutting 2")
+}
+
+// TestZipfianFollowsItsLaw checks the key sampler's rank frequencies
+// against 1/(rank+1)^s over a serving client's 4000 keys.
+func TestZipfianFollowsItsLaw(t *testing.T) {
+	const n, draws = 4000, 400000
+	z := newZipfian(rand.New(rand.NewPCG(1, 2)), zipfS, n)
+	counts := make([]int, n)
+	for i := 0; i < draws; i++ {
+		counts[z.next()]++
+	}
+	h := 0.0
+	for k := 1; k <= n; k++ {
+		h += math.Pow(float64(k), -zipfS)
+	}
+	for _, rank := range []int{0, 1, 9} {
+		want := draws * math.Pow(float64(rank+1), -zipfS) / h
+		if got := float64(counts[rank]); math.Abs(got-want) > 0.05*want {
+			t.Errorf("rank %d drawn %.0f times, law gives %.0f", rank, got, want)
+		}
+	}
 }
 
 func TestPercentileRefusesThinTail(t *testing.T) {

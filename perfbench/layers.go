@@ -12,8 +12,6 @@ import (
 var perLayer = []metricDef{
 	// internal/server and the HTTP round trip (passes 1 and 2).
 	{"server.self_us", "us"},
-	{"server.handler_us", "us"},
-	{"server.request_us", "us"},
 	{"http.roundtrip_us", "us"},
 	{"server.cache_hit_ratio", "ratio"},
 	{"server.cache_hits", "count"},
@@ -161,10 +159,7 @@ func (l *layers) report() {
 	n := float64(max(1, reqs))
 	sp := l.split
 	sn := float64(max(1, sp.n))
-	r.set("server.handler_us", us(handler)/n, "us", "pass 2: span around ServeHTTP, n=%d requests", reqs)
 	r.set("server.self_us", us(sp.handler-sp.inWFS)/sn, "us", "pass 2: handler span minus wfs phases of its /v1/traces tree, n=%d kept", sp.n)
-	reqN := l.after.reqN - l.before.reqN
-	r.set("server.request_us", ratio(l.after.reqSum-l.before.reqSum, reqN)*1e6, "us", "pass 1: /metrics request duration, n=%.0f", reqN)
 	r.set("http.roundtrip_us", us(rtt-handler)/n, "us", "pass 2: round trip minus handler, n=%d", reqs)
 	hits := float64(l.after.stats.Cache.Hits - l.before.stats.Cache.Hits)
 	miss := float64(l.after.stats.Cache.Misses - l.before.stats.Cache.Misses)

@@ -47,7 +47,7 @@ var workloads = []workload{
 }
 
 const (
-	setupRepeats = 5
+	setupRepeats = 15
 	coldWarmups  = 2   // cold operations after the first verified one
 	serveWarmups = 100 // reads per client after the first answer
 	// minMutations gives serve-mixed's mutations a p99 of their own.
@@ -155,7 +155,7 @@ func run(w workload, seed uint64, seconds time.Duration, traced bool, runDir str
 	if traced {
 		return runTraced(w, seed, seconds, runDir)
 	}
-	var setups, heaps []float64
+	var walls, heaps []float64
 	var f *fixture
 	res := &result{Metrics: map[string]metric{}}
 	for i := 0; i < setupRepeats; i++ {
@@ -169,7 +169,7 @@ func run(w workload, seed uint64, seconds time.Duration, traced bool, runDir str
 		if err != nil {
 			return nil, err
 		}
-		setups = append(setups, f.setupWall.Seconds())
+		walls = append(walls, f.setupWall.Seconds())
 		heaps = append(heaps, f.heap)
 		res.count(f.setup)
 	}
@@ -183,19 +183,21 @@ func run(w workload, seed uint64, seconds time.Duration, traced bool, runDir str
 	if err != nil {
 		return nil, err
 	}
-	tail, err := percentile(rel, w.tail)
-	if err != nil {
-		return nil, err
-	}
-	tailName := fmt.Sprintf("p%g", w.tail*100)
 	ref, _ := percentile(t.refs(), 0.5)
 	n := float64(len(all))
-	res.set("setup_s", median(setups), "s", "wall time, median of %d set-ups", setupRepeats)
+	res.set("setup_s", median(walls)*float64(refNominal)/float64(ref), "s", "median wall time of %d set-ups x %gms / median reference time", setupRepeats, ms(refNominal))
 	res.set("p50_ref", p50, "ref", "%s latency / reference unit, n=%d", f.unit(), len(all))
 	res.set("mean_ref", mean(rel), "ref", "mean of the same, n=%d; %d closed-loop client(s)", len(all), f.clients())
 	res.set("session_heap_mib", median(heaps), "MiB", "median of %d set-ups", setupRepeats)
-	info(tailName+" ref", tail, "ref", "%s of the same, n=%d", tailName, len(all))
+	info("setup wall", median(walls), "s", "median of the same set-ups' wall times")
+	if tail, err := percentile(rel, w.tail); err == nil {
+		info(fmt.Sprintf("p%g ref", w.tail*100), tail, "ref", "p%g of the same, n=%d", w.tail*100, len(all))
+	}
 	info("reference unit", ms(ref), "ms", "median wall time beside the ops")
+	if f.w.serve {
+		sel, selTime := t.selects()
+		info("select share", sel, "ratio", "of reads; %.3f of read time", selTime)
+	}
 	for _, q := range []float64{0.5, w.tail} {
 		if v, err := percentile(all, q); err == nil {
 			info(fmt.Sprintf("p%g wall", q*100), ms(v), "ms", "%s latency, n=%d", f.unit(), len(all))
@@ -287,14 +289,19 @@ func (w workload) program(seed uint64) string {
 
 // setup starts wfsd, creates the session, checks its first answer and
 // warms up. Its times exclude the forced collections of the heap
-// measurement. A non-nil clock times the handler (traced run only).
+// measurement and those that start each cold operation, as in measure.
+// A non-nil clock times the handler (traced run only).
 func setup(w workload, seed uint64, walDir string, clock *handlerClock) (*fixture, error) {
 	start := time.Now()
-	var heapWall time.Duration
-	heap := func() float64 {
+	var gcWall time.Duration
+	untimed := func(fn func()) {
 		t := time.Now()
-		defer func() { heapWall += time.Since(t) }()
-		return heapMiB()
+		fn()
+		gcWall += time.Since(t)
+	}
+	heap := func() (mib float64) {
+		untimed(func() { mib = heapMiB() })
+		return mib
 	}
 	f := &fixture{w: w, setup: &tally{}}
 	src := w.program(seed)
@@ -316,6 +323,8 @@ func setup(w workload, seed uint64, walDir string, clock *handlerClock) (*fixtur
 			var loaded func()
 			if i == 0 {
 				loaded = func() { f.heap = heap() - before }
+			} else {
+				untimed(runtime.GC)
 			}
 			f.setup.add(d.coldOp(f.body, q, want, exact, loaded, false))
 		}
@@ -333,11 +342,11 @@ func setup(w workload, seed uint64, walDir string, clock *handlerClock) (*fixtur
 		// rungs without a run of fsyncs making set-up time a disk figure.
 		for _, s := range f.streams {
 			for i := 0; i < serveWarmups; i++ {
-				f.setup.add(d.read(s.game, s.keys[s.zipf.Uint64()], false))
+				f.setup.add(d.read(s.game, s.keys[s.zipf.next()], false))
 			}
 		}
 	}
-	f.setupWall = time.Since(start) - heapWall
+	f.setupWall = time.Since(start) - gcWall
 	return f, nil
 }
 
@@ -375,11 +384,11 @@ func (f *fixture) measure(seconds time.Duration, enough func(*tally) bool, alter
 		return enough == nil || enough(t)
 	}
 	if !f.w.serve {
-		// Each cold operation is followed by one reference unit.
+		// Each cold operation is followed by a reference time.
 		for i := 0; !done(); i++ {
 			q, want, exact := f.coldQuery()
 			s, err := f.d.coldOp(f.body, q, want, exact, nil, alternate && i%2 == 0)
-			s.ref = timeRef()
+			s.ref = fencedRef()
 			t.add(s, err)
 		}
 		t.wall = time.Since(start)
@@ -389,7 +398,7 @@ func (f *fixture) measure(seconds time.Duration, enough func(*tally) bool, alter
 	// alone; each request is divided by the latest reference time.
 	var gate sync.RWMutex
 	var ref atomic.Int64
-	ref.Store(int64(timeRef()))
+	ref.Store(int64(fencedRef()))
 	stop := make(chan struct{})
 	var refs sync.WaitGroup
 	refs.Add(1)
@@ -403,7 +412,7 @@ func (f *fixture) measure(seconds time.Duration, enough func(*tally) bool, alter
 				return
 			case <-tick.C:
 				gate.Lock()
-				ref.Store(int64(timeRef()))
+				ref.Store(int64(fencedRef()))
 				gate.Unlock()
 			}
 		}

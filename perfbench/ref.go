@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"time"
 )
@@ -49,3 +51,28 @@ func timeRef() time.Duration {
 	refSink += refUnit()
 	return time.Since(start)
 }
+
+// fencedRef is the reference time beside an operation. A forced
+// collection first, outside the timing, leaves no garbage of the
+// operations before it to sweep, and the collector is off while the
+// unit runs, so no cycle paced by the program's live heap lands in it;
+// a second forced collection after it starts the next operation from a
+// collected heap. The faster of two runs keeps background work of the
+// program that overlaps one of them (a checkpoint on serve-mixed) out
+// of it. So the reference time follows the host, not the program.
+func fencedRef() time.Duration {
+	runtime.GC()
+	old := debug.SetGCPercent(-1)
+	d := min(timeRef(), timeRef())
+	debug.SetGCPercent(old)
+	runtime.GC()
+	return d
+}
+
+// refNominal is the reference time setup_s is scaled to: set-up time is
+// reported in seconds of a host on which the median reference time of
+// the run is this long, so it follows the program and not the host's
+// speed of the moment. A single reference time is too short to scale a
+// set-up by: it samples a few milliseconds of the host, the set-up a
+// few hundred.
+const refNominal = 10 * time.Millisecond

@@ -151,6 +151,7 @@ type sample struct {
 	ref    time.Duration // the reference unit's time beside the operation
 	failed bool
 	timed  bool
+	sel    bool // a /select read
 	ids    []string
 	rtts   []time.Duration
 }
@@ -210,6 +211,28 @@ func (t *tally) rel() []float64 {
 	return out
 }
 
+// selects returns the share of reads that are /select requests and
+// their share of the reads' summed latency.
+func (t *tally) selects() (share, timeShare float64) {
+	var n, sel int
+	var all, selLat time.Duration
+	for _, s := range t.samples {
+		if s.kind != opRead {
+			continue
+		}
+		n++
+		all += s.lat
+		if s.sel {
+			sel++
+			selLat += s.lat
+		}
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	return float64(sel) / float64(n), float64(selLat) / float64(all)
+}
+
 // refs returns the reference times the operations were divided by.
 func (t *tally) refs() []time.Duration {
 	out := make([]time.Duration, 0, len(t.samples))
@@ -258,7 +281,7 @@ func (d *wfsd) coldOp(body []byte, query string, want string, wantExact bool, lo
 
 // read sends one /query or /select and checks it against the oracle.
 func (d *wfsd) read(g *game, k key, timed bool) (sample, error) {
-	s := sample{kind: opRead, timed: timed}
+	s := sample{kind: opRead, timed: timed, sel: k.sel}
 	body := mustJSON(server.QueryRequest{Query: k.text()})
 	var err error
 	var rtt time.Duration

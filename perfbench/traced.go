@@ -7,25 +7,23 @@ package main
 // stream, with the same seed, in three passes:
 //
 //  1. untraced, over HTTP, for --seconds: the reference latencies, the
-//     counters of /v1/stats, /v1/sessions/{name}/stats and /metrics
-//     taken before and after, and the Go runtime's allocation counts;
+//     counters of /v1/stats taken before and after, and the Go
+//     runtime's allocation counts;
 //  2. over HTTP with the benchmark's own spans around each round trip
-//     and around Handler().ServeHTTP, for --seconds/2: the HTTP and
+//     and around Handler().ServeHTTP, for --seconds/4: the HTTP and
 //     server shares and the tracing overhead;
 //  3. through the program's traced entry points (LoadWithOptionsTraced,
 //     SnapshotTraced, AnswerCtxTraced, ApplyCtxTraced, WarmRebased), each
-//     operation under a root span of the benchmark, for --seconds/2: the
+//     operation under a root span of the benchmark, for --seconds/4: the
 //     self time of every production phase, by the span names /v1/traces
 //     shows.
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"net/http"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -60,55 +58,18 @@ func (c *handlerClock) wrap(h http.Handler) http.Handler {
 	})
 }
 
-// counters is one reading of the server's own statistics.
+// counters is one reading of the server's statistics and the Go
+// runtime's allocation counts.
 type counters struct {
-	stats   server.ServerStatsResponse
-	session server.SessionStatsResponse
-	reqSum  float64 // /metrics: wfsd_http_request_duration_seconds_sum over routes
-	reqN    float64 // /metrics: wfsd_http_request_duration_seconds_count over routes
-	mem     runtime.MemStats
+	stats server.ServerStatsResponse
+	mem   runtime.MemStats
 }
 
 func (f *fixture) readCounters() (counters, error) {
 	var c counters
-	if err := f.d.get("/v1/stats", &c.stats); err != nil {
-		return c, err
-	}
-	if f.w.serve {
-		if err := f.d.get("/v1/sessions/game/stats", &c.session); err != nil {
-			return c, err
-		}
-	}
-	resp, err := f.d.client.Get(f.d.base + "/metrics")
-	if err != nil {
-		return c, err
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			continue
-		}
-		name := line[:sp]
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			continue
-		}
-		// Count only the routes a workload drives, not the scrapes.
-		if strings.Contains(name, `route="GET /`) {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(name, "wfsd_http_request_duration_seconds_sum"):
-			c.reqSum += v
-		case strings.HasPrefix(name, "wfsd_http_request_duration_seconds_count"):
-			c.reqN += v
-		}
-	}
+	err := f.d.get("/v1/stats", &c.stats)
 	runtime.ReadMemStats(&c.mem)
-	return c, sc.Err()
+	return c, err
 }
 
 // inServer is the split of the requests of pass 2 that the flight
@@ -437,14 +398,14 @@ func runTraced(w workload, seed uint64, seconds time.Duration, runDir string) (_
 
 	// Pass 2 times every other operation of each client, so its timed
 	// and untimed operations meet the same server state.
-	h := f.measure(seconds/2, nil, true)
+	h := f.measure(seconds/4, nil, true)
 	res.count(h)
 	split, err := f.serverSplit(clock, h)
 	if err != nil {
 		return nil, err
 	}
 
-	p, g, err := f.apiPass(seconds/2, src, filepath.Join(runDir, "bench-wal"))
+	p, g, err := f.apiPass(seconds/4, src, filepath.Join(runDir, "bench-wal"))
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"sort"
 	"strings"
 
 	"repro/internal/bench"
@@ -22,10 +24,17 @@ const (
 	// cutNode is the mid-chain edge nC_25 -> nC_26 that serve-mixed
 	// toggles. 25 is odd, so toggling it flips win(nC_I) for every I <= 25.
 	cutNode = 25
-	// selectEvery makes every fifth node key a /select instead of a /query.
+	// selectEvery makes every fifth key by popularity rank (ranks 4, 9,
+	// 14, ...) a /select instead of a /query. Assigning the form by rank
+	// and not by node keeps the mix of forms the same for every seed:
+	// the most popular key alone draws a tenth of the requests. Selects
+	// stay a minority of the reads, so the median read is a /query
+	// (README.md gives the measured split).
 	selectEvery = 5
-	// zipfS is the exponent of the key popularity law (rand.Zipf needs s > 1).
-	zipfS = 1.1
+	// zipfS is the exponent of the key popularity law: 0.99, the
+	// default request distribution of YCSB (Cooper et al., "Benchmarking
+	// Cloud Serving Systems with YCSB", SoCC 2010).
+	zipfS = 0.99
 	// mutateShare is serve-mixed's share of requests that are mutations.
 	mutateShare = 0.10
 	// clients is the number of closed-loop clients and of connections.
@@ -133,7 +142,7 @@ type op struct {
 // read-your-writes.
 type stream struct {
 	r      *rand.Rand
-	zipf   *rand.Zipf
+	zipf   *zipfian
 	keys   []key
 	mutate float64
 	game   *game
@@ -144,13 +153,16 @@ func newStream(seed uint64, id, components int, mutate float64) *stream {
 	var keys []key
 	for c := id; c < components; c += clients {
 		for i := 0; i < chainLen; i++ {
-			keys = append(keys, key{c: c, i: i, sel: i%selectEvery == 3})
+			keys = append(keys, key{c: c, i: i})
 		}
 	}
 	r.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	for rank := range keys {
+		keys[rank].sel = rank%selectEvery == selectEvery-1
+	}
 	return &stream{
 		r:      r,
-		zipf:   rand.NewZipf(r, zipfS, 1, uint64(len(keys)-1)),
+		zipf:   newZipfian(r, zipfS, len(keys)),
 		keys:   keys,
 		mutate: mutate,
 		game:   newGame(),
@@ -158,11 +170,36 @@ func newStream(seed uint64, id, components int, mutate float64) *stream {
 }
 
 func (s *stream) next() op {
-	k := s.keys[s.zipf.Uint64()]
+	k := s.keys[s.zipf.next()]
 	if s.mutate > 0 && s.r.Float64() < s.mutate {
 		return op{kind: opMutate, k: key{c: k.c}}
 	}
 	return op{kind: opRead, k: k}
+}
+
+// zipfian draws ranks 0..n-1 with probability proportional to
+// 1/(rank+1)^s by inverting the cumulative weights. Unlike rand.Zipf it
+// takes any s > 0.
+type zipfian struct {
+	r   *rand.Rand
+	cdf []float64
+}
+
+func newZipfian(r *rand.Rand, s float64, n int) *zipfian {
+	cdf := make([]float64, n)
+	sum := 0.0
+	for k := range cdf {
+		sum += math.Pow(float64(k+1), -s)
+		cdf[k] = sum
+	}
+	for k := range cdf {
+		cdf[k] /= sum
+	}
+	return &zipfian{r: r, cdf: cdf}
+}
+
+func (z *zipfian) next() int {
+	return min(sort.SearchFloat64s(z.cdf, z.r.Float64()), len(z.cdf)-1)
 }
 
 // drawWinQuery draws cold-datalog's query: a uniform win(nC_I) and its answer.
