@@ -42,7 +42,7 @@ func BenchmarkE1DataComplexityWinMove(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				prog, db, _ := mustCompile(b, src)
-				core.NewEngine(prog, db, core.Options{}).Evaluate()
+				core.Evaluate(prog, db, core.Options{}, 0, nil, nil)
 			}
 		})
 	}
@@ -58,7 +58,7 @@ func BenchmarkE1DataComplexityEmployment(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				core.NewEngine(prog, db, core.Options{}).Evaluate()
+				core.Evaluate(prog, db, core.Options{}, 0, nil, nil)
 			}
 		})
 	}
@@ -73,7 +73,7 @@ func BenchmarkE2CombinedComplexity(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				prog, db, _ := mustCompile(b, src)
-				core.NewEngine(prog, db, core.Options{Depth: k + 2}).Evaluate()
+				core.Evaluate(prog, db, core.Options{}, k+2, nil, nil)
 			}
 		})
 	}
@@ -88,7 +88,7 @@ func BenchmarkE3ArityScaling(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				prog, db, _ := mustCompile(b, src)
-				core.NewEngine(prog, db, core.Options{Depth: w*w + 2, MaxAtoms: 8_000_000}).Evaluate()
+				core.Evaluate(prog, db, core.Options{MaxAtoms: 8_000_000}, w*w+2, nil, nil)
 			}
 		})
 	}
@@ -102,7 +102,7 @@ func BenchmarkE4TransfiniteIteration(b *testing.B) {
 			prog, db, _ := mustCompile(b, bench.Example4)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core.NewEngine(prog, db, core.Options{Depth: d}).EvaluateAtDepth(d)
+				core.Evaluate(prog, db, core.Options{}, d, nil, nil)
 			}
 		})
 	}
@@ -116,7 +116,7 @@ func BenchmarkE5StratifiedCoincidence(b *testing.B) {
 		prog, db, _ := mustCompile(b, src)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			core.NewEngine(prog, db, core.Options{}).EvaluateAtDepth(core.DefaultDepth)
+			core.Evaluate(prog, db, core.Options{}, core.DefaultDepth, nil, nil)
 		}
 	})
 	b.Run("stratified", func(b *testing.B) {
@@ -145,7 +145,7 @@ func BenchmarkE6PositiveCoincidence(b *testing.B) {
 		prog, db, _ := mustCompile(b, src)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			core.NewEngine(prog, db, core.Options{Depth: 4002, MaxAtoms: 8_000_000}).EvaluateAtDepth(4002)
+			core.Evaluate(prog, db, core.Options{MaxAtoms: 8_000_000}, 4002, nil, nil)
 		}
 	})
 }
@@ -154,7 +154,7 @@ func BenchmarkE6PositiveCoincidence(b *testing.B) {
 // saturated fixpoint on a many-component instance.
 func BenchmarkE7GoalDirected(b *testing.B) {
 	prog, db, st := mustCompile(b, bench.WinMoveComponents(200, 30))
-	m := core.NewEngine(prog, db, core.Options{}).Evaluate()
+	m := core.Evaluate(prog, db, core.Options{}, 0, nil, nil)
 	p, _ := st.LookupPred("win")
 	goal := st.Atom(p, []term.ID{st.Terms.Const("n0_0")})
 	b.Run("full-fixpoint", func(b *testing.B) {
@@ -179,10 +179,35 @@ func BenchmarkE8DepthStabilization(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := core.NewEngine(prog, db, core.Options{})
-		if ans, _, err := e.Answer(q); err != nil || ans != ground.True {
+		if ans, _, err := core.AdaptiveAnswer(core.Options{}, resumableLadder(prog, db, core.Options{}),
+			func(*core.Model) (*program.Query, error) { return q, nil }, nil, nil); err != nil || ans != ground.True {
 			b.Fatal("wrong answer")
 		}
+	}
+}
+
+// resumableLadder returns an AdaptiveAnswer model source over one program
+// and database that keeps every rung's model, each deeper rung extending
+// the deepest chase so far (core.ExtendModel): the single-goroutine
+// counterpart of a snapshot's chained rungs.
+func resumableLadder(prog *program.Program, db program.Database, opts core.Options) func(int, *trace.Span) (*core.Model, error) {
+	models := make(map[int]*core.Model)
+	var deepest *core.Model
+	return func(d int, tr *trace.Span) (*core.Model, error) {
+		if m, ok := models[d]; ok {
+			return m, nil
+		}
+		var m *core.Model
+		if deepest == nil || d < deepest.Chase.Opts.MaxDepth {
+			m = core.Evaluate(prog, db, opts, d, nil, tr)
+		} else {
+			m = core.ExtendModel(deepest, prog, opts, d, nil, tr)
+		}
+		if deepest == nil || d > deepest.Chase.Opts.MaxDepth {
+			deepest = m
+		}
+		models[d] = m
+		return m, nil
 	}
 }
 
@@ -196,7 +221,7 @@ func BenchmarkE9DLLite(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				core.NewEngine(prog, db, core.Options{}).Evaluate()
+				core.Evaluate(prog, db, core.Options{}, 0, nil, nil)
 			}
 		})
 	}
@@ -279,10 +304,10 @@ func BenchmarkParallelAnswer(b *testing.B) {
 	})
 
 	// cancelcheck — the cooperative-cancellation tax on the same warm
-	// path: the identical workload answered through AnswerCtx under a
-	// live (cancellable, never cancelled) context, so every poll point
-	// pays the real token check — one atomic load plus a non-blocking
-	// channel select — instead of the nil-token fast path.
+	// path: the identical workload answered through AnswerCtxTraced under
+	// a live (cancellable, never cancelled) context, so every poll point
+	// pays the real check — a non-blocking channel select — instead of
+	// the nil-context fast path.
 	// benchguard.sh compares this against the snapshot sub-bench from
 	// the same run (budget: <= 5%, the ISSUE's overhead bar).
 	b.Run("cancelcheck", func(b *testing.B) {
@@ -306,7 +331,7 @@ func BenchmarkParallelAnswer(b *testing.B) {
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if ans, err := snap.AnswerCtx(ctx, q); err != nil || ans != True {
+				if ans, _, err := snap.AnswerCtxTraced(ctx, q, nil); err != nil || ans != True {
 					b.Errorf("answer = %v (%v)", ans, err)
 					return
 				}
@@ -315,16 +340,17 @@ func BenchmarkParallelAnswer(b *testing.B) {
 	})
 
 	b.Run("locked", func(b *testing.B) {
-		// The PR-1 design, reconstructed: one engine over one shared
-		// store behind one exclusive lock; query answering re-parses (it
-		// interns into the shared store) and re-evaluates the deepening
-		// ladder because nothing can be precomputed safely.
+		// The pre-snapshot design, reconstructed: one per-depth model
+		// cache over one shared store behind one exclusive lock; query
+		// answering re-parses (it interns into the shared store) and
+		// re-walks the deepening ladder because nothing can be
+		// precomputed safely.
 		st := atom.NewStore(term.NewStore())
 		prog, db, _, err := program.CompileText(src, st)
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng := core.NewEngine(prog, db, core.Options{})
+		modelAt := resumableLadder(prog, db, core.Options{})
 		var mu sync.Mutex
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
@@ -336,7 +362,8 @@ func BenchmarkParallelAnswer(b *testing.B) {
 					b.Error(err)
 					return
 				}
-				ans, _, _ := eng.Answer(q)
+				ans, _, _ := core.AdaptiveAnswer(core.Options{}, modelAt,
+					func(*core.Model) (*program.Query, error) { return q, nil }, nil, nil)
 				mu.Unlock()
 				if ans != ground.True {
 					b.Errorf("answer = %v", ans)
@@ -381,24 +408,22 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			}
 		}
 	})
-	b.Run("traced-coarse", func(b *testing.B) {
+	traced := func(b *testing.B, newRoot func(string) *trace.Span) {
 		for i := 0; i < b.N; i++ {
-			if ans, _, _, err := snap.TraceAnswerDetail(q, false); err != nil || ans != True {
+			root := newRoot("query")
+			ans, _, err := snap.AnswerCtxTraced(context.Background(), q, root)
+			if err != nil || ans != True {
 				b.Fatalf("answer = %v (%v)", ans, err)
 			}
+			root.Trace()
 		}
-	})
-	b.Run("traced-detailed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ans, _, _, err := snap.TraceAnswer(q); err != nil || ans != True {
-				b.Fatalf("answer = %v (%v)", ans, err)
-			}
-		}
-	})
+	}
+	b.Run("traced-coarse", func(b *testing.B) { traced(b, trace.New) })
+	b.Run("traced-detailed", func(b *testing.B) { traced(b, trace.NewDetailed) })
 }
 
 // BenchmarkAdaptiveLadder — the resumable-chase headline number: one cold
-// AnswerWithStats on a non-saturating program whose answer flips at every
+// AnswerCtxTraced on a non-saturating program whose answer flips at every
 // rung, so adaptive deepening climbs the full ladder to MaxDepth.
 //
 //   - "incremental" is the real path: the snapshot's rungs share one
@@ -430,7 +455,7 @@ func BenchmarkAdaptiveLadder(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ans, stats, err := snap.AnswerWithStats(q)
+			ans, stats, err := snap.AnswerCtxTraced(context.Background(), q, nil)
 			if err != nil || ans != True {
 				b.Fatalf("flip(X) = %v (%v)", ans, err)
 			}
@@ -441,7 +466,7 @@ func BenchmarkAdaptiveLadder(b *testing.B) {
 	})
 
 	b.Run("from-scratch", func(b *testing.B) {
-		// The pre-resumable EvaluateAtDepth, reconstructed: chase from
+		// The pre-resumable evaluation, reconstructed: chase from
 		// the database, reground, and re-run the fixpoint at every rung.
 		opts := ladderOpts.WithDefaults()
 		for i := 0; i < b.N; i++ {
@@ -454,7 +479,7 @@ func BenchmarkAdaptiveLadder(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			modelAt := func(d int) (*core.Model, error) {
+			modelAt := func(d int, _ *trace.Span) (*core.Model, error) {
 				res := chase.Run(prog, db, chase.Options{MaxDepth: d, MaxAtoms: opts.MaxAtoms})
 				gp := ground.FromChase(res)
 				gm := ground.AlternatingFixpoint(gp)
@@ -468,7 +493,7 @@ func BenchmarkAdaptiveLadder(b *testing.B) {
 				return m, nil
 			}
 			ans, stats, err := core.AdaptiveAnswer(opts, modelAt,
-				func(*core.Model) (*program.Query, error) { return q, nil })
+				func(*core.Model) (*program.Query, error) { return q, nil }, nil, nil)
 			if err != nil || ans != ground.True {
 				b.Fatalf("flip(X) = %v (%v)", ans, err)
 			}
@@ -500,7 +525,7 @@ func BenchmarkCertifiedAnswer(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ans, stats, err := sys.AnswerWithStats(query)
+			ans, stats, err := answerStats(sys, query)
 			if err != nil || ans != True {
 				b.Fatalf("d12(c2) = %v (%v)", ans, err)
 			}
@@ -516,7 +541,7 @@ func BenchmarkCertifiedAnswer(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ans, stats, err := sys.AnswerWithStats(query)
+			ans, stats, err := answerStats(sys, query)
 			if err != nil || ans != True {
 				b.Fatalf("d12(c2) = %v (%v)", ans, err)
 			}
@@ -651,7 +676,7 @@ func BenchmarkParser(b *testing.B) {
 
 func BenchmarkQueryAnswering(b *testing.B) {
 	prog, db, st := mustCompile(b, bench.WinMoveRandom(2000, 4000, 9))
-	m := core.NewEngine(prog, db, core.Options{}).Evaluate()
+	m := core.Evaluate(prog, db, core.Options{}, 0, nil, nil)
 	q, err := program.ParseQuery("? move(X,Y), not win(Y).", st)
 	if err != nil {
 		b.Fatal(err)
@@ -699,7 +724,7 @@ func BenchmarkE11GoalDirectedAblation(b *testing.B) {
 	goal := st.Atom(p, []term.ID{st.Terms.Const("n0_0")})
 	b.Run("saturate-all", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.NewEngine(prog, db, core.Options{Depth: 8}).EvaluateAtDepth(8)
+			core.Evaluate(prog, db, core.Options{}, 8, nil, nil)
 		}
 	})
 	b.Run("goal-directed", func(b *testing.B) {

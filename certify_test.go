@@ -99,7 +99,7 @@ func TestCertifiedAnswerSingleRung(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, stats, err := sys.AnswerWithStats(fmt.Sprintf("? d%d(c2).", links))
+	ans, stats, err := answerStats(sys, fmt.Sprintf("? d%d(c2).", links))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestCertifiedAnswerSingleRung(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ustats, err := unc.AnswerWithStats(fmt.Sprintf("? d%d(c2).", links))
+	_, ustats, err := answerStats(unc, fmt.Sprintf("? d%d(c2).", links))
 	if err != nil {
 		t.Fatal(err)
 	}

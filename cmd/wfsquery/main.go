@@ -170,36 +170,37 @@ func main() {
 }
 
 // answerOne evaluates one -query, optionally under a deadline and
-// optionally traced. With no deadline it uses the System convenience
-// paths; with one it prepares the query against a snapshot and runs the
-// context-aware ladder, so expiry cancels the evaluation cooperatively
-// mid-chase instead of after the fact.
+// optionally traced. With a deadline, expiry cancels the evaluation
+// cooperatively mid-chase instead of after the fact. The detailed trace
+// covers parse, snapshot acquisition, and each ladder rung with its
+// chase / reground / condense / solve breakdown.
 func answerOne(sys *wfs.System, qs string, timeout time.Duration, traced bool) (wfs.Truth, *core.AnswerStats, *trace.EvalTrace, error) {
-	if timeout <= 0 {
-		if traced {
-			return sys.TraceAnswer(qs)
-		}
-		ans, stats, err := sys.AnswerWithStats(qs)
-		return ans, stats, nil, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	q, err := wfs.Prepare(qs)
-	if err != nil {
-		return wfs.False, nil, nil, err
-	}
-	snap, err := sys.Snapshot()
-	if err != nil {
-		return wfs.False, nil, nil, err
+	ctx := context.Background()
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
 	var root *trace.Span
 	if traced {
 		root = trace.NewDetailed("query")
 	}
+	endParse := root.Phase("parse")
+	q, err := wfs.Prepare(qs)
+	endParse()
+	if err != nil {
+		return wfs.False, nil, nil, err
+	}
+	endSnap := root.Phase("snapshot")
+	snap, err := sys.Snapshot()
+	endSnap()
+	if err != nil {
+		return wfs.False, nil, nil, err
+	}
 	ans, stats, err := snap.AnswerCtxTraced(ctx, q, root)
 	root.End()
 	var et *trace.EvalTrace
-	if traced && err == nil {
+	if traced {
 		et = root.Trace()
 	}
 	return ans, stats, et, err

@@ -128,12 +128,13 @@ func repl(sys *wfs.System, base string, in io.Reader, out io.Writer) {
 		case line == ":lint":
 			fmt.Fprint(out, sys.Analysis().Format(true))
 		case line == ":stats":
-			m := sys.Model()
-			stats := m.Chase.ComputeStats()
-			fmt.Fprintf(out, "chase: %s\n", stats)
-			fmt.Fprintf(out, "model: %d true, %d undefined, %d rounds, exact=%v\n",
-				m.GM.CountTrue(), m.GM.CountUndefined(), m.GM.Rounds, m.Exact)
-			fmt.Fprintf(out, "δ (Prop. 12) ≈ 2^%d\n", sys.DeltaBound().BitLen())
+			st := sys.Stats()
+			ms := st.Model
+			fmt.Fprintf(out, "chase: atoms=%d instances=%d maxDepth=%d truncated=%v\n",
+				ms.ChaseAtoms, ms.ChaseInstances, ms.MaxDepthReached, ms.Truncated)
+			fmt.Fprintf(out, "model: %d true, %d undefined, %d SCCs, exact=%v\n",
+				ms.TrueAtoms, ms.UndefinedAtoms, ms.SCCs, ms.Exact)
+			fmt.Fprintf(out, "δ (Prop. 12) ≈ 2^%d\n", st.DeltaBits)
 		case strings.HasPrefix(line, ":retract "):
 			factSrc := strings.TrimSpace(strings.TrimPrefix(line, ":retract"))
 			pred, args, err := wfs.ParseFact(factSrc)
@@ -213,26 +214,19 @@ func repl(sys *wfs.System, base string, in io.Reader, out io.Writer) {
 			timeout = d
 			fmt.Fprintf(out, "timeout %s\n", d)
 		case strings.HasPrefix(line, "?"):
-			if tracing {
-				ans, _, et, err := sys.TraceAnswer(line)
-				if err != nil {
-					fmt.Fprintln(out, "error:", err)
-					break
-				}
-				fmt.Fprintln(out, ans)
-				// Each traced query gets its own trace ID, in the same hex
-				// form wfsd stamps on logs and flight-recorder entries, so
-				// a REPL trace can be cited alongside server-side ones.
-				fmt.Fprintf(out, "trace_id=%s\n", trace.MintContext().TraceIDString())
-				fmt.Fprint(out, et.Format())
-				break
-			}
-			ans, err := answerWithTimeout(sys, line, timeout)
+			ans, et, err := answer(sys, line, timeout, tracing)
 			if err != nil {
 				fmt.Fprintln(out, "error:", err)
 				break
 			}
 			fmt.Fprintln(out, ans)
+			if et != nil {
+				// Each traced query gets its own trace ID, in the same hex
+				// form wfsd stamps on logs and flight-recorder entries, so
+				// a REPL trace can be cited alongside server-side ones.
+				fmt.Fprintf(out, "trace_id=%s\n", trace.MintContext().TraceIDString())
+				fmt.Fprint(out, et.Format())
+			}
 		case strings.HasPrefix(line, ":"):
 			fmt.Fprintln(out, "unknown command; :help for help")
 		default:
@@ -291,13 +285,38 @@ func repl(sys *wfs.System, base string, in io.Reader, out io.Writer) {
 	}
 }
 
-// answerWithTimeout answers one '?' query, cooperatively cancelled when
-// the :timeout deadline (if any) expires mid-evaluation.
-func answerWithTimeout(sys *wfs.System, query string, timeout time.Duration) (wfs.Truth, error) {
-	if timeout <= 0 {
-		return sys.Answer(query)
+// answer answers one '?' query, cooperatively cancelled when the
+// :timeout deadline (if any) expires mid-evaluation. With traced set it
+// also returns the detailed phase tree: parse, snapshot acquisition, and
+// each ladder rung with its chase / reground / condense / solve
+// breakdown.
+func answer(sys *wfs.System, query string, timeout time.Duration, traced bool) (wfs.Truth, *trace.EvalTrace, error) {
+	ctx := context.Background()
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return sys.AnswerCtx(ctx, query)
+	var root *trace.Span
+	if traced {
+		root = trace.NewDetailed("query")
+	}
+	endParse := root.Phase("parse")
+	q, err := wfs.Prepare(query)
+	endParse()
+	if err != nil {
+		return wfs.False, nil, err
+	}
+	endSnap := root.Phase("snapshot")
+	snap, err := sys.Snapshot()
+	endSnap()
+	if err != nil {
+		return wfs.False, nil, err
+	}
+	ans, _, err := snap.AnswerCtxTraced(ctx, q, root)
+	root.End()
+	if !traced {
+		return ans, nil, err
+	}
+	return ans, root.Trace(), err
 }

@@ -79,33 +79,18 @@ func factRefs(specs []factSpec) []FactRef {
 // the mutation with the database untouched, which is exactly the
 // log-then-commit ordering a write-ahead log needs (serialize and fsync
 // the batch durably, then let the in-memory commit proceed). epoch is the
-// epoch the batch will commit at (current epoch + 1). The hook must not
-// call back into the System (the lock is held) and must not retain or
-// mutate the argument slices beyond the call.
-type CommitHook func(epoch uint64, adds, retracts []FactRef) error
-
-// CommitHookTraced is a CommitHook that additionally receives the
-// mutating request's trace span (nil when the mutation is untraced), so
-// a durability hook can record its own phases — WAL append, fsync —
-// under the request's span tree.
-type CommitHookTraced func(epoch uint64, adds, retracts []FactRef, tr *trace.Span) error
+// epoch the batch will commit at (current epoch + 1). tr is the mutating
+// request's "apply" span (nil when the mutation is untraced), so a
+// durability hook can record its own phases — WAL append, fsync — under
+// the request's span tree. The hook must not call back into the System
+// (the lock is held) and must not retain or mutate the argument slices
+// beyond the call.
+type CommitHook func(epoch uint64, adds, retracts []FactRef, tr *trace.Span) error
 
 // SetCommitHook installs h as the system's commit hook (nil removes it).
 // Every mutation path — Apply, AddFact, RetractFact, LoadCSV — funnels
 // through the hook.
 func (s *System) SetCommitHook(h CommitHook) {
-	if h == nil {
-		s.SetCommitHookTraced(nil)
-		return
-	}
-	s.SetCommitHookTraced(func(epoch uint64, adds, retracts []FactRef, _ *trace.Span) error {
-		return h(epoch, adds, retracts)
-	})
-}
-
-// SetCommitHookTraced installs a trace-aware commit hook (nil removes
-// it). Semantics are identical to SetCommitHook.
-func (s *System) SetCommitHookTraced(h CommitHookTraced) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.commitHook = h
@@ -163,40 +148,31 @@ func ParseFact(src string) (pred string, args []string, err error) {
 // validation (unknown or non-database retraction targets, arity
 // violations, and add/retract conflicts reject the whole delta with the
 // database untouched), one epoch bump for the batch, and an incremental
-// rebase of the cached evaluation state — the engine and the snapshot
-// ladder carry their chase, grounding, and model across the delta
-// instead of discarding them. An empty delta is a no-op (no epoch bump).
-func (s *System) Apply(d *Delta) error { return s.ApplyTraced(d, nil) }
+// rebase of the cached evaluation state — the snapshot ladder carries
+// its chase, grounding, and model across the delta instead of discarding
+// them. An empty delta is a no-op (no epoch bump).
+func (s *System) Apply(d *Delta) error { return s.ApplyCtxTraced(context.Background(), d, nil) }
 
-// ApplyTraced is Apply recording the mutation's phases — validation,
-// the commit hook's durability work, the in-memory commit — as children
-// of tr. A nil tr is Apply.
-func (s *System) ApplyTraced(d *Delta, tr *trace.Span) error {
-	return s.ApplyCtxTraced(context.Background(), d, tr)
-}
-
-// ApplyCtx is Apply under a context. Cancellation is honoured at two
-// points only: on entry (before the write lock is taken) and immediately
-// before the commit hook fires — the durability point. Once the hook
-// has acknowledged the batch (the write-ahead log has fsynced it), the
-// in-memory commit always completes regardless of ctx: a mutation is
-// never durable-but-not-applied, and never applied-but-not-durable.
-func (s *System) ApplyCtx(ctx context.Context, d *Delta) error {
-	return s.ApplyCtxTraced(ctx, d, nil)
-}
-
-// ApplyCtxTraced is ApplyCtx recording the mutation's phases under tr.
+// ApplyCtxTraced is Apply under a context, recording the mutation's
+// phases — validation, the commit hook's durability work, the in-memory
+// commit — as children of tr (nil = untraced). Cancellation is honoured
+// at two points only: on entry (before the write lock is taken) and
+// immediately before the commit hook fires — the durability point. Once
+// the hook has acknowledged the batch (the write-ahead log has fsynced
+// it), the in-memory commit always completes regardless of ctx: a
+// mutation is never durable-but-not-applied, and never
+// applied-but-not-durable.
 func (s *System) ApplyCtxTraced(ctx context.Context, d *Delta, tr *trace.Span) error {
 	if d == nil || d.Empty() {
 		return nil
 	}
 	tok := cancel.For(ctx)
 	if tok.Cancelled() {
-		return cancelErr(tok)
+		return tok.Reason()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyCancelLocked(d.adds, d.retracts, tok, tr)
+	return s.applyLocked(d.adds, d.retracts, tok, tr)
 }
 
 // RetractFact removes every database occurrence of the ground fact
@@ -205,23 +181,17 @@ func (s *System) ApplyCtxTraced(ctx context.Context, d *Delta, tr *trace.Span) e
 func (s *System) RetractFact(pred string, args ...string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyLocked(nil, []factSpec{{pred: pred, args: args}}, nil)
+	return s.applyLocked(nil, []factSpec{{pred: pred, args: args}}, nil, nil)
 }
 
 // applyLocked is the single mutation path: every database write —
 // AddFact, RetractFact, LoadCSV, Apply — funnels through it. Callers
 // must hold mu. tr, when non-nil, receives the mutation's phase tree
-// under an "apply" child span.
-func (s *System) applyLocked(adds, retracts []factSpec, tr *trace.Span) error {
-	return s.applyCancelLocked(adds, retracts, nil, tr)
-}
-
-// applyCancelLocked is applyLocked under a cancellation token (nil =
-// never cancelled), polled once immediately before the commit hook: a
-// batch whose client vanished during validation is rejected before it
-// costs a durable WAL append, but a batch the hook has acknowledged
-// always commits.
-func (s *System) applyCancelLocked(adds, retracts []factSpec, tok *cancel.Token, tr *trace.Span) error {
+// under an "apply" child span. tok (nil = never cancelled) is polled
+// once, immediately before the commit hook: a batch whose client
+// vanished during validation is rejected before it costs a durable WAL
+// append, but a batch the hook has acknowledged always commits.
+func (s *System) applyLocked(adds, retracts []factSpec, tok *cancel.Token, tr *trace.Span) error {
 	if len(adds) == 0 && len(retracts) == 0 {
 		return nil
 	}
@@ -287,7 +257,7 @@ func (s *System) applyCancelLocked(adds, retracts []factSpec, tok *cancel.Token,
 	// Last cancellation point: past here the batch heads for the
 	// durability hook, and an acked append must always commit.
 	if tok.Cancelled() {
-		return cancelErr(tok)
+		return tok.Reason()
 	}
 	// Durability point: the batch is fully validated, nothing has
 	// interned or committed. A hook failure (e.g. the WAL could not
@@ -330,9 +300,6 @@ func (s *System) applyCancelLocked(adds, retracts []factSpec, tok *cancel.Token,
 	// new entries, then clip the result so later appends cannot either.
 	newDB = append(newDB[:len(newDB):len(newDB)], added...)
 	s.db = newDB[:len(newDB):len(newDB)]
-	if s.engine != nil {
-		s.engine.ApplyDelta(s.db)
-	}
 	s.invalidateLocked()
 	return nil
 }

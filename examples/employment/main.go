@@ -52,8 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine := core.NewEngine(prog, db, core.Options{})
-	m := engine.Evaluate()
+	m := core.Evaluate(prog, db, core.Options{}, 0, nil, nil)
 	if !m.Exact {
 		log.Fatal("employment chase should saturate")
 	}

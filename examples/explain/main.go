@@ -31,8 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine := core.NewEngine(prog, db, core.Options{Depth: 8})
-	m := engine.Evaluate()
+	m := core.Evaluate(prog, db, core.Options{}, 8, nil, nil)
 
 	// Forward proof of T(0): why is it well-founded? The negative
 	// hypothesis ¬S(0) must itself be in the WFS.

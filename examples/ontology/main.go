@@ -10,11 +10,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/atom"
-	"repro/internal/core"
+	wfs "repro"
 	"repro/internal/dllite"
-	"repro/internal/program"
-	"repro/internal/term"
 )
 
 func main() {
@@ -50,13 +47,10 @@ func main() {
 	fmt.Println("translated program:")
 	fmt.Println(src)
 
-	st := atom.NewStore(term.NewStore())
-	prog, db, err := o.Compile(st)
+	sys, err := wfs.Load(src)
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine := core.NewEngine(prog, db, core.Options{})
-	m := engine.Evaluate()
 
 	queries := []string{
 		"? staff(turing).",               // via ∃teaches with a null object
@@ -69,15 +63,14 @@ func main() {
 	}
 	fmt.Println("NBCQ answers:")
 	for _, qs := range queries {
-		q, err := program.ParseQuery(qs, st)
+		ans, err := sys.Answer(qs)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ans, _, _ := engine.Answer(q)
 		fmt.Printf("  %-34s %s\n", qs, ans)
 	}
 
-	if vs := m.CheckConstraints(); len(vs) == 0 {
+	if vs := sys.CheckConstraints(); len(vs) == 0 {
 		fmt.Println("\nno disjointness violations — knowledge base is consistent")
 	} else {
 		fmt.Println("\nviolations:")

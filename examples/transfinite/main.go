@@ -22,7 +22,11 @@ import (
 	"log"
 
 	wfs "repro"
+	"repro/internal/atom"
 	"repro/internal/chase"
+	"repro/internal/core"
+	"repro/internal/program"
+	"repro/internal/term"
 )
 
 const src = `
@@ -41,11 +45,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Example 6: the guarded chase forest F+(P) up to depth 3. The engine
-	// accessor hands out the live program and database (single-goroutine
-	// tooling use; concurrent readers should go through sys.Snapshot).
-	eng := sys.Engine()
-	res := chase.Run(eng.Prog, eng.DB, chase.Options{MaxDepth: 3, MaxAtoms: 10000})
+	// The pipeline stages below run on their own compiled copy of the
+	// program: sys serves answers from immutable snapshots and exposes no
+	// mutable evaluation state.
+	st := atom.NewStore(term.NewStore())
+	prog, db, _, err := program.CompileText(src, st)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// Example 6: the guarded chase forest F+(P) up to depth 3.
+	res := chase.Run(prog, db, chase.Options{MaxDepth: 3, MaxAtoms: 10000})
 	fmt.Println("guarded chase forest F+(P) to depth 3 (paper Example 6):")
 	fmt.Print(res.BuildForest(3, 200).Dump())
 
@@ -63,7 +73,7 @@ func main() {
 	// shadow of ŴP,ω+2.
 	fmt.Println("\nfixpoint rounds vs chase depth (transfinite shadow):")
 	for _, d := range []int{4, 8, 16, 32} {
-		m := sys.Engine().EvaluateAtDepth(d)
+		m := core.Evaluate(prog, db, core.Options{}, d, nil, nil)
 		fmt.Printf("  depth %2d: universe %3d atoms, %3d operator rounds\n",
 			d, m.GP.NumAtoms(), m.GM.Rounds)
 	}

@@ -73,7 +73,7 @@ func TestConcurrentCancellationRace(t *testing.T) {
 					return
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(rng.Intn(2000))*time.Microsecond)
-				_, err = snap.AnswerCtx(ctx, q)
+				_, _, err = snap.AnswerCtxTraced(ctx, q, nil)
 				cancel()
 				if err != nil && !isCancelClass(err) {
 					report(fmt.Errorf("canceller: %w", err))
@@ -98,7 +98,7 @@ func TestConcurrentCancellationRace(t *testing.T) {
 					return
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-				_, _, err = snap.AnswerCtxStats(ctx, q)
+				_, _, err = snap.AnswerCtxTraced(ctx, q, nil)
 				cancel()
 				if err != nil && !isCancelClass(err) {
 					report(fmt.Errorf("reader: %w", err))
@@ -154,7 +154,7 @@ func TestCancellationLeavesSystemSound(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // already cancelled: the ladder aborts at its first poll
-		if _, err := snap.AnswerCtx(ctx, q); !isCancelClass(err) {
+		if _, _, err := snap.AnswerCtxTraced(ctx, q, nil); !isCancelClass(err) {
 			t.Fatalf("pre-cancelled evaluation %d: err = %v, want cancellation", i, err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestDeadlineStormNoGoroutineLeak(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 			defer cancel()
-			if _, err := snap.AnswerCtx(ctx, q); err != nil && !isCancelClass(err) {
+			if _, _, err := snap.AnswerCtxTraced(ctx, q, nil); err != nil && !isCancelClass(err) {
 				t.Errorf("storm evaluation: %v", err)
 			}
 		}()

@@ -45,7 +45,7 @@ func TestWinMoveChainSemantics(t *testing.T) {
 	// On a chain of even length n, v0 alternates: win at odd distance
 	// from the dead end.
 	prog, db, st := compileMust(WinMoveChain(4))
-	m := core.NewEngine(prog, db, core.Options{}).Evaluate()
+	m := core.Evaluate(prog, db, core.Options{}, 0, nil, nil)
 	wantTrue := map[string]bool{"v1": true, "v3": true} // odd distance from v4
 	p, _ := st.LookupPred("win")
 	for i := 0; i <= 4; i++ {
@@ -71,7 +71,7 @@ func TestWinMoveChainSemantics(t *testing.T) {
 
 func TestWinMoveCycleAllUndefined(t *testing.T) {
 	prog, db, _ := compileMust(WinMoveCycle(6))
-	m := core.NewEngine(prog, db, core.Options{}).Evaluate()
+	m := core.Evaluate(prog, db, core.Options{}, 0, nil, nil)
 	if got := m.GM.CountUndefined(); got != 6 {
 		t.Errorf("undefined = %d, want 6", got)
 	}
@@ -81,7 +81,7 @@ func TestExpChaseSize(t *testing.T) {
 	// ExpChase(k) derives exactly 2^(k+1) - 1 atoms.
 	for k := 2; k <= 6; k++ {
 		prog, db, _ := compileMust(ExpChase(k))
-		m := core.NewEngine(prog, db, core.Options{Depth: k + 2}).Evaluate()
+		m := core.Evaluate(prog, db, core.Options{}, k+2, nil, nil)
 		want := 1<<(k+1) - 1
 		if got := m.GP.NumAtoms(); got != want {
 			t.Errorf("ExpChase(%d) atoms = %d, want %d", k, got, want)
@@ -94,7 +94,7 @@ func TestPermFamilySize(t *testing.T) {
 	fact := []int{0, 1, 2, 6, 24, 120}
 	for w := 2; w <= 5; w++ {
 		prog, db, _ := compileMust(PermFamily(w))
-		m := core.NewEngine(prog, db, core.Options{Depth: w*w + 2}).Evaluate()
+		m := core.Evaluate(prog, db, core.Options{}, w*w+2, nil, nil)
 		if got := m.GP.NumAtoms(); got != fact[w] {
 			t.Errorf("PermFamily(%d) atoms = %d, want %d", w, got, fact[w])
 		}
@@ -107,7 +107,7 @@ func TestEmploymentFamilyCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := core.NewEngine(prog, db, core.Options{}).Evaluate()
+	m := core.Evaluate(prog, db, core.Options{}, 0, nil, nil)
 	// Of 9 persons, 3 are employed (every third): 3 employee IDs, 6 job
 	// seeker IDs, 3 valid IDs.
 	if got := countTrueByPred(m, st, "employeeID"); got != 3 {
@@ -163,13 +163,14 @@ func TestExperimentsRunQuick(t *testing.T) {
 // one mid-chain edge per component) against the update-heavy family's
 // large EDB, with the model re-evaluated after every mutation.
 //
-//   - "incremental" is the real path: Engine.ApplyDelta rebases the
-//     cached chase (resumed for additions, forest-replayed for
-//     retractions), regrounds only what changed, and warm-starts the WFS
-//     fixpoint on the mutated component's dependency cone.
+//   - "incremental" is the real path: core.RebaseModel — what snapshot
+//     rungs run after a mutation — rebases the previous model's chase
+//     (resumed for additions, forest-replayed for retractions), regrounds
+//     only what changed, and warm-starts the WFS fixpoint on the mutated
+//     component's dependency cone.
 //   - "rebuild" reconstructs the invalidate-and-rebuild design: every
-//     mutation discards the engine and re-chases, regrounds, and re-runs
-//     the fixpoint over the full database.
+//     mutation discards the model and re-chases, regrounds, and re-runs
+//     the fixpoint over the full database (core.Evaluate).
 //
 // The acceptance bar is incremental ≥ 2× faster; BENCH_delta.json
 // records the committed baseline.
@@ -206,14 +207,12 @@ func BenchmarkDeltaApply(b *testing.B) {
 	}
 
 	b.Run("incremental", func(b *testing.B) {
-		eng := core.NewEngine(prog, db0, core.Options{})
-		eng.Evaluate()
+		m := core.Evaluate(prog, db0, core.Options{}, core.DefaultDepth, nil, nil)
 		db, removed := db0, make([]bool, comps)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			db = mutate(db, removed, i)
-			eng.ApplyDelta(db)
-			if eng.Evaluate() == nil {
+			if m = core.RebaseModel(m, prog, core.Options{}, core.DefaultDepth, db, nil, nil); m == nil {
 				b.Fatal("no model")
 			}
 		}
@@ -224,7 +223,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			db = mutate(db, removed, i)
-			if core.NewEngine(prog, db, core.Options{}).Evaluate() == nil {
+			if core.Evaluate(prog, db, core.Options{}, 0, nil, nil) == nil {
 				b.Fatal("no model")
 			}
 		}
@@ -233,15 +232,15 @@ func BenchmarkDeltaApply(b *testing.B) {
 
 // TestDeltaApplyBenchWorkloadIsSound: the benchmark's mutation actually
 // changes the model (no-op deltas would let the incremental path win
-// vacuously), and the incremental engine agrees with a rebuilt one after
-// a toggle round-trip.
+// vacuously), and the rebased model agrees with a rebuilt one after a
+// toggle round-trip.
 func TestDeltaApplyBenchWorkloadIsSound(t *testing.T) {
 	const comps, length = 4, 8
 	prog, db, st := compileMust(UpdateFamily(comps, length))
 	moveP, _ := st.LookupPred("move")
 	a := st.Atom(moveP, []term.ID{st.Terms.Const("n0_3"), st.Terms.Const("n0_4")})
-	eng := core.NewEngine(prog, db, core.Options{})
-	m0 := eng.Evaluate()
+	const depth = core.DefaultDepth
+	m0 := core.Evaluate(prog, db, core.Options{}, depth, nil, nil)
 	winP, _ := st.LookupPred("win")
 	probe := st.Atom(winP, []term.ID{st.Terms.Const("n0_3")})
 	before := m0.Truth(probe)
@@ -252,14 +251,13 @@ func TestDeltaApplyBenchWorkloadIsSound(t *testing.T) {
 			db1 = append(db1, f)
 		}
 	}
-	eng.ApplyDelta(db1)
-	m1 := eng.Evaluate()
+	m1 := core.RebaseModel(m0, prog, core.Options{}, depth, db1, nil, nil)
 	if m1.Truth(probe) == before {
 		t.Fatalf("retraction did not change win(n0_3) (= %v): benchmark workload is vacuous", before)
 	}
-	eng.ApplyDelta(append(db1[:len(db1):len(db1)], a))
-	m2 := eng.Evaluate()
-	scratch := core.NewEngine(prog, append(db1[:len(db1):len(db1)], a), core.Options{}).Evaluate()
+	db2 := append(db1[:len(db1):len(db1)], a)
+	m2 := core.RebaseModel(m1, prog, core.Options{}, depth, db2, nil, nil)
+	scratch := core.Evaluate(prog, db2, core.Options{}, depth, nil, nil)
 	for _, g := range scratch.Chase.Atoms {
 		if gv, wv := m2.Truth(g), scratch.Truth(g); gv != wv {
 			t.Errorf("truth(%s) = %v, want %v", st.String(g), gv, wv)
@@ -304,7 +302,7 @@ func TestModularEquivOnFamilies(t *testing.T) {
 		for an, algo := range algos {
 			want := algo(gp)
 			for _, par := range []int{1, 4} {
-				got := ground.SolveModular(gp, algo, par)
+				got := ground.SolveModular(gp, algo, par, nil, nil)
 				if !got.Equal(want) {
 					t.Errorf("%s/%s par=%d: modular solve diverges from global", name, an, par)
 				}
@@ -350,14 +348,14 @@ func BenchmarkModularSolve(b *testing.B) {
 	})
 	b.Run("modular/update", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if ground.SolveModular(gpU, ground.AlternatingFixpoint, runtime.GOMAXPROCS(0)) == nil {
+			if ground.SolveModular(gpU, ground.AlternatingFixpoint, runtime.GOMAXPROCS(0), nil, nil) == nil {
 				b.Fatal("no model")
 			}
 		}
 	})
 	b.Run("modular-seq/update", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if ground.SolveModular(gpU, ground.AlternatingFixpoint, 1) == nil {
+			if ground.SolveModular(gpU, ground.AlternatingFixpoint, 1, nil, nil) == nil {
 				b.Fatal("no model")
 			}
 		}
@@ -378,7 +376,7 @@ func BenchmarkModularSolve(b *testing.B) {
 	})
 	b.Run("modular-seq/cycle", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if ground.SolveModular(gpC, ground.AlternatingFixpoint, 1) == nil {
+			if ground.SolveModular(gpC, ground.AlternatingFixpoint, 1, nil, nil) == nil {
 				b.Fatal("no model")
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/program"
 	"repro/internal/strat"
 	"repro/internal/term"
+	"repro/internal/trace"
 )
 
 // compileMust compiles source text into a fresh store; the harness treats
@@ -105,9 +106,8 @@ func E1DataComplexity(quick bool) *Table {
 	var prev time.Duration
 	for _, n := range sizes {
 		prog, db, _ := compileMust(WinMoveRandom(n, 2*n, 42))
-		e := core.NewEngine(prog, db, core.Options{})
 		var m *core.Model
-		d := Timed(func() { m = e.Evaluate() })
+		d := Timed(func() { m = core.Evaluate(prog, db, core.Options{}, 0, nil, nil) })
 		t.AddRow("win-move", 2*n, m.GP.NumAtoms(), d, Ratio(d, prev))
 		prev = d
 	}
@@ -122,9 +122,8 @@ func E1DataComplexity(quick bool) *Table {
 		if err != nil {
 			panic(err)
 		}
-		e := core.NewEngine(prog, db, core.Options{})
 		var m *core.Model
-		d := Timed(func() { m = e.Evaluate() })
+		d := Timed(func() { m = core.Evaluate(prog, db, core.Options{}, 0, nil, nil) })
 		t.AddRow("employment", n, m.GP.NumAtoms(), d, Ratio(d, prev))
 		prev = d
 	}
@@ -149,9 +148,8 @@ func E2CombinedComplexity(quick bool) *Table {
 	var prev time.Duration
 	for k := 4; k <= max; k++ {
 		prog, db, _ := compileMust(ExpChase(k))
-		e := core.NewEngine(prog, db, core.Options{Depth: k + 2})
 		var m *core.Model
-		d := Timed(func() { m = e.Evaluate() })
+		d := Timed(func() { m = core.Evaluate(prog, db, core.Options{}, k+2, nil, nil) })
 		t.AddRow(k, 2*k, m.GP.NumAtoms(), d, Ratio(d, prev))
 		prev = d
 	}
@@ -176,9 +174,8 @@ func E3ArityScaling(quick bool) *Table {
 	var prev time.Duration
 	for w := 2; w <= max; w++ {
 		prog, db, _ := compileMust(PermFamily(w))
-		e := core.NewEngine(prog, db, core.Options{Depth: w*w + 2, MaxAtoms: 8_000_000})
 		var m *core.Model
-		d := Timed(func() { m = e.Evaluate() })
+		d := Timed(func() { m = core.Evaluate(prog, db, core.Options{MaxAtoms: 8_000_000}, w*w+2, nil, nil) })
 		t.AddRow(w, m.GP.NumAtoms(), d, Ratio(d, prev))
 		prev = d
 	}
@@ -203,9 +200,8 @@ func E4TransfiniteIteration(quick bool) *Table {
 	}
 	for _, d := range depths {
 		prog, db, st := compileMust(Example4)
-		e := core.NewEngine(prog, db, core.Options{Depth: d})
 		var m *core.Model
-		dur := Timed(func() { m = e.Evaluate() })
+		dur := Timed(func() { m = core.Evaluate(prog, db, core.Options{}, d, nil, nil) })
 		truth := func(src string) ground.Truth {
 			q, err := program.ParseQuery("? "+src+".", st)
 			if err != nil {
@@ -236,9 +232,8 @@ func E5StratifiedCoincidence(quick bool) *Table {
 	}
 	for _, n := range sizes {
 		prog, db, _ := compileMust(StratifiedFamily(n))
-		e := core.NewEngine(prog, db, core.Options{})
 		var wm *core.Model
-		dw := Timed(func() { wm = e.Evaluate() })
+		dw := Timed(func() { wm = core.Evaluate(prog, db, core.Options{}, 0, nil, nil) })
 		var sm *core.Model
 		var err error
 		ds := Timed(func() { sm, err = strat.Evaluate(prog, db, 0) })
@@ -277,9 +272,8 @@ func E6PositiveCoincidence(quick bool) *Table {
 		dc := Timed(func() {
 			res = chase.Run(prog, db, chase.Options{MaxDepth: n + 2, MaxAtoms: 8_000_000})
 		})
-		e := core.NewEngine(prog, db, core.Options{Depth: n + 2, MaxAtoms: 8_000_000})
 		var m *core.Model
-		dw := Timed(func() { m = e.Evaluate() })
+		dw := Timed(func() { m = core.Evaluate(prog, db, core.Options{MaxAtoms: 8_000_000}, n+2, nil, nil) })
 		diff := 0
 		for i, g := range m.GP.Atoms {
 			derived := res.Derived(g)
@@ -310,8 +304,7 @@ func E7GoalDirected(quick bool) *Table {
 	}
 	for _, k := range comps {
 		prog, db, st := compileMust(WinMoveComponents(k, 30))
-		e := core.NewEngine(prog, db, core.Options{})
-		m := e.Evaluate() // includes the chase; both sides reuse it
+		m := core.Evaluate(prog, db, core.Options{}, 0, nil, nil) // includes the chase; both sides reuse it
 		dFull := Timed(func() { ground.AlternatingFixpoint(m.GP) })
 		p, _ := st.LookupPred("win")
 		goal := st.Atom(p, []term.ID{st.Terms.Const("n0_0")})
@@ -348,8 +341,20 @@ func E8DepthStabilization() *Table {
 		if err != nil {
 			panic(err)
 		}
-		e := core.NewEngine(prog, db, core.Options{MaxDepth: 64, StabilityWindow: 3})
-		_, stats, _ := e.Answer(q)
+		// Each rung resumes the previous rung's chase (core.ExtendModel),
+		// so the ladder pays for each depth increment once.
+		opts := core.Options{MaxDepth: 64, StabilityWindow: 3}
+		var last *core.Model
+		modelAt := func(d int, _ *trace.Span) (*core.Model, error) {
+			if last == nil {
+				last = core.Evaluate(prog, db, opts, d, nil, nil)
+			} else {
+				last = core.ExtendModel(last, prog, opts, d, nil, nil)
+			}
+			return last, nil
+		}
+		_, stats, _ := core.AdaptiveAnswer(opts, modelAt,
+			func(*core.Model) (*program.Query, error) { return q, nil }, nil, nil)
 		delta := core.DeltaForSchema(st)
 		t.AddRow(c.name, c.query, stats.FinalDepth, stats.Exact, delta.BitLen())
 	}
@@ -377,9 +382,8 @@ func E9DLLite(quick bool) *Table {
 		if err != nil {
 			panic(err)
 		}
-		e := core.NewEngine(prog, db, core.Options{})
 		var m *core.Model
-		d := Timed(func() { m = e.Evaluate() })
+		d := Timed(func() { m = core.Evaluate(prog, db, core.Options{}, 0, nil, nil) })
 		t.AddRow(n,
 			countTrueByPred(m, st, "employeeID"),
 			countTrueByPred(m, st, "jobSeekerID"),
@@ -464,9 +468,8 @@ func E11GoalDirectedAblation(quick bool) *Table {
 		goalPred, _ := st.LookupPred("win")
 		goal := st.Atom(goalPred, []term.ID{st.Terms.Const("n0_0")})
 
-		e := core.NewEngine(prog, db, core.Options{Depth: 8})
 		var m *core.Model
-		dFull := Timed(func() { m = e.EvaluateAtDepth(8) })
+		dFull := Timed(func() { m = core.Evaluate(prog, db, core.Options{}, 8, nil, nil) })
 		var dClosure time.Duration
 		dClosure = Timed(func() { m.WCheck(goal) })
 		var gs *core.GoalStats

@@ -155,3 +155,14 @@ func (t *Token) Err() error {
 	}
 	return t.Cause()
 }
+
+// Reason is the error a stopped evaluation surfaces: the token's cause
+// (context.DeadlineExceeded for a blown deadline, context.Canceled for a
+// disconnect or manual cancel), falling back to context.Canceled when an
+// interrupted evaluation arrives without one. Safe on a nil token.
+func (t *Token) Reason() error {
+	if err := t.Err(); err != nil {
+		return err
+	}
+	return context.Canceled
+}

@@ -110,3 +110,21 @@ func TestConcurrentChecks(t *testing.T) {
 	}
 	close(stop)
 }
+
+// TestReason: a stopped evaluation always surfaces a non-nil error — the
+// token's cause when it has one, context.Canceled otherwise.
+func TestReason(t *testing.T) {
+	var nilTok *Token
+	if err := nilTok.Reason(); !errors.Is(err, context.Canceled) {
+		t.Errorf("nil token: Reason = %v, want context.Canceled", err)
+	}
+	if err := New().Reason(); !errors.Is(err, context.Canceled) {
+		t.Errorf("untripped token: Reason = %v, want context.Canceled", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	<-ctx.Done()
+	if err := For(ctx).Reason(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("expired deadline: Reason = %v, want context.DeadlineExceeded", err)
+	}
+}

@@ -67,6 +67,15 @@ func (e *BudgetError) Error() string {
 	return fmt.Sprintf("chase: atom budget exceeded: %d atoms derived, limit %d", e.Atoms, e.Limit)
 }
 
+// BudgetErr returns the structured *BudgetError when the MaxAtoms valve
+// truncated this chase, and nil otherwise.
+func (r *Result) BudgetErr() error {
+	if !r.Truncated {
+		return nil
+	}
+	return &BudgetError{Atoms: len(r.Atoms), Limit: r.Opts.MaxAtoms}
+}
+
 // DefaultOptions are suitable for the examples and tests.
 func DefaultOptions() Options { return Options{MaxDepth: 8, MaxAtoms: 2_000_000} }
 
@@ -170,18 +179,14 @@ func Run(prog *program.Program, db program.Database, opts Options) *Result {
 // bound, or the chase already saturated strictly below it (no frontier
 // exists at any depth, so the deeper chase is identical), r is returned
 // unchanged.
-func (r *Result) Extend(prog *program.Program, newDepth int) *Result {
-	nr, _ := r.ExtendCancel(prog, newDepth, nil)
-	return nr
-}
-
-// ExtendCancel is Extend under a cancellation token, and it surfaces the
-// MaxAtoms condition as a structured *BudgetError instead of silently
+//
+// tok (nil = never cancelled) is polled by the continued chase; a
+// cancelled continuation returns with Interrupted set. The MaxAtoms
+// condition surfaces as a structured *BudgetError rather than silently
 // sharing the permanently-truncated receiver: callers that deepen on an
 // answering path need to distinguish "already saturated" (receiver
-// returned, nil error) from "cannot deepen under the budget". tok may be
-// nil (never cancelled).
-func (r *Result) ExtendCancel(prog *program.Program, newDepth int, tok *cancel.Token) (*Result, error) {
+// returned, nil error) from "cannot deepen under the budget".
+func (r *Result) Extend(prog *program.Program, newDepth int, tok *cancel.Token) (*Result, error) {
 	oldDepth := r.Opts.MaxDepth
 	if newDepth <= oldDepth {
 		return r, nil
@@ -189,7 +194,7 @@ func (r *Result) ExtendCancel(prog *program.Program, newDepth int, tok *cancel.T
 	if r.Truncated {
 		// MaxAtoms exhaustion is permanent (atoms are never removed), so
 		// a deeper continuation can derive nothing.
-		return r, &BudgetError{Atoms: len(r.Atoms), Limit: r.Opts.MaxAtoms}
+		return r, r.BudgetErr()
 	}
 	if len(r.queue) == 0 && r.ComputeStats().MaxDepth < oldDepth {
 		return r, nil

@@ -299,7 +299,7 @@ func TestExtendMatchesRun(t *testing.T) {
 	prog, db, st := compile(t, example4)
 	res := Run(prog, db, Options{MaxDepth: 2, MaxAtoms: 10_000})
 	for _, d := range []int{4, 6, 9} {
-		res = res.Extend(prog, d)
+		res, _ = res.Extend(prog, d, nil)
 		if res.Opts.MaxDepth != d {
 			t.Fatalf("extended MaxDepth = %d, want %d", res.Opts.MaxDepth, d)
 		}
@@ -316,7 +316,7 @@ func TestExtendDoesNotMutateOriginal(t *testing.T) {
 	for i, a := range res.Atoms {
 		depths[i] = res.Depth(a)
 	}
-	ext := res.Extend(prog, 6)
+	ext, _ := res.Extend(prog, 6, nil)
 	if ext == res {
 		t.Fatal("Extend to a deeper bound returned the receiver")
 	}
@@ -339,10 +339,10 @@ func TestExtendDoesNotMutateOriginal(t *testing.T) {
 func TestExtendNoopAtSameOrShallowerDepth(t *testing.T) {
 	prog, db, _ := compile(t, example4)
 	res := Run(prog, db, Options{MaxDepth: 4, MaxAtoms: 10_000})
-	if got := res.Extend(prog, 4); got != res {
+	if got, _ := res.Extend(prog, 4, nil); got != res {
 		t.Error("Extend to the current depth did not return the receiver")
 	}
-	if got := res.Extend(prog, 2); got != res {
+	if got, _ := res.Extend(prog, 2, nil); got != res {
 		t.Error("Extend to a shallower depth did not return the receiver")
 	}
 }
@@ -367,7 +367,7 @@ late(X) -> deep(X).
 	if a, ok := st.Lookup(lp, []term.ID{ca}); ok && res.Derived(a) {
 		t.Fatalf("late(a) derived before its side atom d3(a) exists")
 	}
-	ext := res.Extend(prog, 6)
+	ext, _ := res.Extend(prog, 6, nil)
 	scratch := Run(prog, db, Options{MaxDepth: 6, MaxAtoms: 1000})
 	extendEqualsRun(t, st, ext, scratch)
 	la, ok := st.Lookup(lp, []term.ID{ca})
@@ -388,7 +388,7 @@ start(X) -> reach(X).
 reach(X), edge(X,Y) -> reach(Y).
 `)
 	res := Run(prog, db, Options{MaxDepth: 50, MaxAtoms: 10_000})
-	ext := res.Extend(prog, 100)
+	ext, _ := res.Extend(prog, 100, nil)
 	if len(ext.Atoms) != len(res.Atoms) || len(ext.Instances) != len(res.Instances) {
 		t.Errorf("saturated extension changed the universe")
 	}
@@ -407,7 +407,7 @@ func TestComputeStatsCached(t *testing.T) {
 	if s1 != s2 {
 		t.Errorf("cached stats differ: %+v vs %+v", s1, s2)
 	}
-	ext := res.Extend(prog, 6)
+	ext, _ := res.Extend(prog, 6, nil)
 	if ext.stats == nil {
 		t.Fatal("Extend did not populate the stats cache")
 	}

@@ -38,14 +38,10 @@ import (
 // asserted as a fact): its depth drops to 0 and the decrease cascades.
 // Returns nil when r is truncated — MaxAtoms exhaustion left frontier
 // atoms unexpanded, so the continuation cannot know what a from-scratch
-// chase of the grown database would derive; callers must rebuild.
-func (r *Result) ExtendDB(prog *program.Program, newDB program.Database, added []atom.AtomID) *Result {
-	return r.ExtendDBCancel(prog, newDB, added, nil)
-}
-
-// ExtendDBCancel is ExtendDB under a cancellation token (nil = never
-// cancelled); a cancelled continuation returns with Interrupted set.
-func (r *Result) ExtendDBCancel(prog *program.Program, newDB program.Database, added []atom.AtomID, tok *cancel.Token) *Result {
+// chase of the grown database would derive; callers must rebuild. tok
+// (nil = never cancelled) is polled by the continuation; a cancelled one
+// returns with Interrupted set.
+func (r *Result) ExtendDB(prog *program.Program, newDB program.Database, added []atom.AtomID, tok *cancel.Token) *Result {
 	if r.Truncated {
 		return nil
 	}
@@ -118,14 +114,10 @@ func (r *Result) tryReplay(ci int32) {
 // instance of chase(r.DB) with the identical head (Skolem terms are
 // functional in the guard binding), so replaying r's instances under the
 // ordinary depth/expansion discipline computes exactly the from-scratch
-// chase of newDB — the cross-check suite enforces this.
-func (r *Result) Retract(prog *program.Program, newDB program.Database) (*Result, []int32) {
-	return r.RetractCancel(prog, newDB, nil)
-}
-
-// RetractCancel is Retract under a cancellation token (nil = never
-// cancelled); a cancelled replay returns with Interrupted set.
-func (r *Result) RetractCancel(prog *program.Program, newDB program.Database, tok *cancel.Token) (*Result, []int32) {
+// chase of newDB — the cross-check suite enforces this. tok (nil = never
+// cancelled) is polled by the replay; a cancelled one returns with
+// Interrupted set.
+func (r *Result) Retract(prog *program.Program, newDB program.Database, tok *cancel.Token) (*Result, []int32) {
 	if r.Truncated {
 		return nil, nil
 	}

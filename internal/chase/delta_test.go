@@ -107,14 +107,14 @@ c(X) -> d(X).
 `,
 			depth: 8,
 			ops: []deltaOp{
-				add("b", "1"),      // wakes the parked (rule, a(1)) waiter
-				add("b", "2"),      // and the other one
-				del("b", "1"),      // c(1), d(1) die
-				add("b", "1"),      // and come back
-				del("a", "1"),      // kills the whole 1-chain
-				add("c", "7"),      // IDB predicate asserted directly as EDB
-				del("c", "7"),      // and gone again
-				add("d", "9"),      // leaf-only atom
+				add("b", "1"),                // wakes the parked (rule, a(1)) waiter
+				add("b", "2"),                // and the other one
+				del("b", "1"),                // c(1), d(1) die
+				add("b", "1"),                // and come back
+				del("a", "1"),                // kills the whole 1-chain
+				add("c", "7"),                // IDB predicate asserted directly as EDB
+				del("c", "7"),                // and gone again
+				add("d", "9"),                // leaf-only atom
 				del("a", "2"), del("b", "2"), // empty everything but d(9)
 			},
 		},
@@ -169,7 +169,7 @@ move(X,Y), not win(Y) -> win(X).
 				var changed atom.AtomID
 				db, changed = applyOp(t, st, db, op)
 				if op.retract {
-					next, dead := cur.Retract(prog, db)
+					next, dead := cur.Retract(prog, db, nil)
 					if next == nil {
 						t.Fatalf("op %d: Retract returned nil", i)
 					}
@@ -182,7 +182,7 @@ move(X,Y), not win(Y) -> win(X).
 					}
 					cur = next
 				} else {
-					next := cur.ExtendDB(prog, db, []atom.AtomID{changed})
+					next := cur.ExtendDB(prog, db, []atom.AtomID{changed}, nil)
 					if next == nil {
 						t.Fatalf("op %d: ExtendDB returned nil", i)
 					}
@@ -206,8 +206,8 @@ n(X, Y) -> n(Y, Z).
 	opts := Options{MaxDepth: 4, MaxAtoms: 100_000}
 	cur := Run(prog, db, opts)
 	db2, _ := applyOp(t, st, db, del("s", "b"))
-	ret, _ := cur.Retract(prog, db2)
-	deep := ret.Extend(prog, 7)
+	ret, _ := cur.Retract(prog, db2, nil)
+	deep, _ := ret.Extend(prog, 7, nil)
 	scratch := Run(prog, db2, Options{MaxDepth: 7, MaxAtoms: 100_000})
 	checkSameChase(t, st, deep, scratch)
 }
@@ -223,9 +223,9 @@ a(X), b(X) -> c(X).
 	opts := Options{MaxDepth: 4, MaxAtoms: 100_000}
 	cur := Run(prog, db, opts) // both (rule, a(i)) pairs parked on b(i)
 	db2, _ := applyOp(t, st, db, del("z", "9"))
-	ret, _ := cur.Retract(prog, db2)
+	ret, _ := cur.Retract(prog, db2, nil)
 	db3, b1 := applyOp(t, st, db2, add("b", "1"))
-	ext := ret.ExtendDB(prog, db3, []atom.AtomID{b1})
+	ext := ret.ExtendDB(prog, db3, []atom.AtomID{b1}, nil)
 	scratch := Run(prog, db3, opts)
 	checkSameChase(t, st, ext, scratch)
 	c1 := mkfact(t, st, "c", "1")
@@ -243,10 +243,10 @@ func TestDeltaOpsRefuseTruncated(t *testing.T) {
 		t.Fatal("expected truncation")
 	}
 	a := mkfact(t, st, "seed", "d")
-	if got := res.ExtendDB(prog, append(db, a), []atom.AtomID{a}); got != nil {
+	if got := res.ExtendDB(prog, append(db, a), []atom.AtomID{a}, nil); got != nil {
 		t.Error("ExtendDB accepted a truncated chase")
 	}
-	if got, _ := res.Retract(prog, db[:0]); got != nil {
+	if got, _ := res.Retract(prog, db[:0], nil); got != nil {
 		t.Error("Retract accepted a truncated chase")
 	}
 }

@@ -137,29 +137,30 @@ p(X,Y), not s(X) -> t(X).
 }
 
 // TestApplyDeltaMatchesFromScratch is the tentpole cross-check: after
-// every scripted mutation, the delta-maintained engine must be
-// indistinguishable — universe, depths, instance count, three-valued
-// model, exactness — from an engine built from scratch on the mutated
-// database, at every rung of the adaptive ladder, under all four WFS
-// algorithms.
+// every scripted mutation, the model RebaseModel carries across the delta
+// must be indistinguishable — universe, depths, instance count,
+// three-valued model, exactness — from one evaluated from scratch on the
+// mutated database, at every rung of the adaptive ladder, under all four
+// WFS algorithms. Each rung is rebased from its own previous-epoch
+// model, as snapshot rungs are.
 func TestApplyDeltaMatchesFromScratch(t *testing.T) {
 	depths := []int{4, 6, 8}
 	for _, script := range deltaScripts {
 		for _, alg := range []Algorithm{AltFixpoint, UnfoundedSets, ForwardProofs, Remainder} {
 			t.Run(script.name+"/"+alg.String(), func(t *testing.T) {
 				prog, db, _, st := compile(t, script.src)
-				inc := NewEngine(prog, db, Options{Algorithm: alg})
+				opts := Options{Algorithm: alg}
+				inc := make(map[int]*Model, len(depths))
 				for _, d := range depths {
-					inc.EvaluateAtDepth(d) // warm every rung before mutating
+					inc[d] = Evaluate(prog, db, opts, d, nil, nil) // warm every rung before mutating
 				}
 				for i, op := range script.ops {
 					db = applyDBOp(t, st, db, op)
-					inc.ApplyDelta(db)
 					for _, d := range depths {
-						got := inc.EvaluateAtDepth(d)
-						want := NewEngine(prog, db, Options{Algorithm: alg}).EvaluateAtDepth(d)
+						inc[d] = RebaseModel(inc[d], prog, opts, d, db, nil, nil)
+						want := Evaluate(prog, db, opts, d, nil, nil)
 						t.Logf("op %d depth %d", i, d)
-						checkSameModel(t, st, got, want)
+						checkSameModel(t, st, inc[d], want)
 					}
 				}
 			})
@@ -171,11 +172,10 @@ func TestApplyDeltaMatchesFromScratch(t *testing.T) {
 // database (at the set level) must share the previous model outright.
 func TestRebaseModelNoChangeReturnsReceiver(t *testing.T) {
 	prog, db, _, _ := compile(t, example4)
-	e := NewEngine(prog, db, Options{})
-	m := e.EvaluateAtDepth(6)
+	m := Evaluate(prog, db, Options{}, 6, nil, nil)
 	// Same set, different multiset: duplicate the first fact.
 	db2 := append(db[:len(db):len(db)], db[0])
-	if got := RebaseModel(m, prog, e.Opts, 6, db2); got != m {
+	if got := RebaseModel(m, prog, Options{}, 6, db2, nil, nil); got != m {
 		t.Error("multiplicity-only rebase rebuilt the model")
 	}
 }
@@ -185,29 +185,32 @@ func TestRebaseModelNoChangeReturnsReceiver(t *testing.T) {
 func TestRebaseModelTruncatedFallsBack(t *testing.T) {
 	prog, db, _, st := compile(t, "seed(c).\nseed(X) -> next(X).")
 	opts := Options{MaxAtoms: 2}
-	e := NewEngine(prog, db, opts)
-	m := e.EvaluateAtDepth(4)
+	m := Evaluate(prog, db, opts, 4, nil, nil)
 	if !m.Chase.ComputeStats().Truncated {
 		t.Fatal("expected truncation")
 	}
 	db2 := append(db[:len(db):len(db)], factAtom(t, st, "seed", "d"))
-	got := RebaseModel(m, prog, e.Opts, 4, db2)
-	want := NewEngine(prog, db2, opts).EvaluateAtDepth(4)
+	got := RebaseModel(m, prog, opts, 4, db2, nil, nil)
+	want := Evaluate(prog, db2, opts, 4, nil, nil)
 	if len(got.Chase.Atoms) != len(want.Chase.Atoms) {
 		t.Errorf("fallback universe %d atoms, want %d", len(got.Chase.Atoms), len(want.Chase.Atoms))
 	}
 }
 
-// TestApplyDeltaThenDeepen: after a delta, a depth the engine never
-// evaluated extends the rebased chase rather than re-chasing.
+// TestApplyDeltaThenDeepen: after a delta, a depth never evaluated before
+// extends the rebased chase rather than re-chasing — both when the
+// rebase itself deepens (RebaseModel at a depth above the previous
+// model's) and when a later rung extends the rebased model
+// (ExtendModel), under all four WFS algorithms.
 func TestApplyDeltaThenDeepen(t *testing.T) {
 	prog, db, _, st := compile(t, example4)
-	e := NewEngine(prog, db, Options{})
-	e.EvaluateAtDepth(4)
 	db2 := applyDBOp(t, st, db, opAdd("p", "0", "1"))
-	e.ApplyDelta(db2)
-	e.EvaluateAtDepth(4) // rebases the staged depth-4 model
-	got := e.EvaluateAtDepth(7)
-	want := NewEngine(prog, db2, Options{}).EvaluateAtDepth(7)
-	checkSameModel(t, st, got, want)
+	for _, alg := range []Algorithm{AltFixpoint, UnfoundedSets, ForwardProofs, Remainder} {
+		opts := Options{Algorithm: alg}
+		m4 := Evaluate(prog, db, opts, 4, nil, nil)
+		want := Evaluate(prog, db2, opts, 7, nil, nil)
+		checkSameModel(t, st, RebaseModel(m4, prog, opts, 7, db2, nil, nil), want)
+		reb := RebaseModel(m4, prog, opts, 4, db2, nil, nil)
+		checkSameModel(t, st, ExtendModel(reb, prog, opts, 7, nil, nil), want)
+	}
 }

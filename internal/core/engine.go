@@ -10,14 +10,19 @@
 // universe, with every atom outside the universe false (it has no forward
 // proof within the bound, Definition 5). Proposition 12 guarantees a finite
 // sufficient depth n·δ for NBCQ answering; because δ is astronomically
-// large, the engine answers queries by adaptive deepening with a
-// stabilization window, and reports exactness whenever the chase saturates
-// below the bound (in which case the computed model is the genuine
-// well-founded model restricted to the relevant atoms).
+// large, queries are answered by adaptive deepening with a stabilization
+// window (AdaptiveAnswer), and exactness is reported whenever the chase
+// saturates below the bound (in which case the computed model is the
+// genuine well-founded model restricted to the relevant atoms).
+//
+// Each pipeline step is one pure function — Evaluate (fresh build),
+// ExtendModel (deeper), RebaseModel (mutated database), AdaptiveAnswer
+// (the ladder) — taking a trailing cancellation token and trace span.
+// Both are nil-safe: nil means never cancelled and not traced, at the
+// cost of a nil check per poll or span site.
 package core
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -40,21 +45,6 @@ import (
 // is raised by the adaptive ladder, not by evaluation itself. The root
 // wfs package re-exports the type; match with errors.As.
 type ErrBudgetExceeded = chase.BudgetError
-
-// budgetErr builds the structured budget error for a truncated chase.
-func budgetErr(res *chase.Result) error {
-	return &ErrBudgetExceeded{Atoms: len(res.Atoms), Limit: res.Opts.MaxAtoms}
-}
-
-// cancelCause converts a tripped token into the error surfaced to
-// callers: context.DeadlineExceeded for deadlines, context.Canceled for
-// disconnects/manual cancels (errors.Is-matchable either way).
-func cancelCause(tok *cancel.Token) error {
-	if err := tok.Err(); err != nil {
-		return err
-	}
-	return context.Canceled
-}
 
 // Algorithm selects which of the four equivalent WFS fixpoint algorithms
 // evaluates the ground program.
@@ -88,7 +78,7 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Options configure an Engine. The zero value selects defaults.
+// Options configure evaluation. The zero value selects defaults.
 type Options struct {
 	// Depth is the chase depth for Evaluate; 0 means DefaultDepth.
 	Depth int
@@ -135,7 +125,7 @@ type Options struct {
 	CertifiedDepth int
 	// NoCertify tells load paths to skip certification entirely (keep the
 	// heuristic ladder even for provably bounded programs). Consumed by
-	// wfs.LoadWithOptions; the engine itself only reads CertifiedDepth.
+	// wfs.LoadWithOptions; evaluation itself only reads CertifiedDepth.
 	NoCertify bool
 }
 
@@ -144,7 +134,7 @@ const DefaultDepth = 8
 
 // WithDefaults resolves zero-valued fields to their defaults. Callers that
 // derive evaluation schedules from options (the snapshot layer's adaptive
-// ladder) use it to see the same values an Engine would.
+// ladder) use it to see the same values evaluation resolves.
 func (o Options) WithDefaults() Options { return o.withDefaults() }
 
 // Validate reports option combinations that cannot answer queries. The
@@ -203,38 +193,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Engine evaluates the well-founded semantics of a database under a
-// guarded normal Datalog± program. Evaluation state is resumable: the
-// engine keeps its deepest chase and grounding so far, and a deeper
-// request extends them (chase.Result.Extend, ground.ExtendFromChase)
-// instead of re-chasing from the database — the adaptive-deepening
-// ladder therefore pays for each depth increment once. Models are cached
-// per depth. An Engine is single-goroutine (see wfs.Snapshot for the
-// concurrent read path).
-type Engine struct {
-	Prog *program.Program
-	DB   program.Database
-	Opts Options
-
-	cached *Model         // model at Opts.Depth
-	models map[int]*Model // depth → model, for ladder reuse
-
-	// prevModels holds the per-depth models evaluated before the last
-	// ApplyDelta: a request for one of these depths rebases the old model
-	// onto the current database (RebaseModel) instead of evaluating cold.
-	prevModels map[int]*Model
-
-	// Deepest chase and grounding computed so far; deeper evaluations
-	// resume from these.
-	res *chase.Result
-	gp  *ground.Program
-}
-
-// NewEngine creates an engine; opts zero-values select defaults.
-func NewEngine(prog *program.Program, db program.Database, opts Options) *Engine {
-	return &Engine{Prog: prog, DB: db, Opts: opts.withDefaults(), models: make(map[int]*Model)}
-}
-
 // Model is the (bounded) well-founded model WFS(D, Σ): a three-valued
 // interpretation over the derived universe, with everything outside false.
 type Model struct {
@@ -262,100 +220,29 @@ type Model struct {
 	support   []int32   // lazy: supporting instance per true atom
 }
 
-// Evaluate computes (and caches) the model at the configured depth.
-func (e *Engine) Evaluate() *Model {
-	if e.cached == nil {
-		e.cached = e.EvaluateAtDepth(e.Opts.Depth)
+// Evaluate computes the model at chase depth depth from scratch: the
+// bounded chase of db under prog, its grounding, and the configured
+// fixpoint. depth <= 0 selects the configured opts.Depth. The chase,
+// grounding, condensation, and solve become child spans of tr, with chase
+// shape counters (see chaseCounters). tok (nil = never cancelled) is
+// polled by the chase and the solve; an interrupted evaluation returns a
+// discardable Model with Interrupted set. tr and tok may each be nil.
+func Evaluate(prog *program.Program, db program.Database, opts Options, depth int, tok *cancel.Token, tr *trace.Span) *Model {
+	opts = opts.withDefaults()
+	if depth <= 0 {
+		depth = opts.Depth
 	}
-	return e.cached
-}
-
-// EvaluateAtDepth computes (and caches) the model at an explicit chase
-// depth. When the requested depth exceeds the engine's deepest chase so
-// far, the chase and grounding are extended incrementally; a shallower
-// request (outside the usual monotone deepening pattern) falls back to a
-// fresh bounded chase.
-func (e *Engine) EvaluateAtDepth(depth int) *Model {
-	return e.EvaluateAtDepthTraced(depth, nil)
-}
-
-// EvaluateAtDepthTraced is EvaluateAtDepth with observability: the chase
-// (fresh or extended), grounding, condensation, and solve become child
-// spans of tr, with chase shape counters (see chaseCounters). tr nil is
-// the plain evaluation — cache hits record nothing either way.
-func (e *Engine) EvaluateAtDepthTraced(depth int, tr *trace.Span) *Model {
-	return e.EvaluateAtDepthCancelTraced(depth, nil, tr)
-}
-
-// EvaluateAtDepthCancelTraced is EvaluateAtDepthTraced under a
-// cancellation token (nil = never cancelled). An interrupted evaluation
-// returns a Model with Interrupted set; interrupted state is never
-// cached and never installed as the engine's resumable chase, so a
-// later un-cancelled request at the same depth evaluates cleanly.
-func (e *Engine) EvaluateAtDepthCancelTraced(depth int, tok *cancel.Token, tr *trace.Span) *Model {
-	if e.models == nil {
-		e.models = make(map[int]*Model)
+	cs := tr.Child("chase")
+	res := chase.Run(prog, db, chase.Options{MaxDepth: depth, MaxAtoms: opts.MaxAtoms, Cancel: tok})
+	chaseCounters(cs, res)
+	cs.End()
+	if res.Interrupted {
+		return &Model{Chase: res, GP: ground.New(0, nil), GM: &ground.Model{}, Interrupted: true}
 	}
-	if m, ok := e.models[depth]; ok {
-		return m
-	}
-	if pm, ok := e.prevModels[depth]; ok {
-		// A model from before the last ApplyDelta: rebase it onto the
-		// current database instead of re-evaluating from scratch. The
-		// staged model is consumed only by a completed rebase — an
-		// interrupted one leaves it staged for the next request.
-		m := RebaseModelCancelTraced(pm, e.Prog, e.Opts, depth, e.DB, tok, tr)
-		if m.Interrupted {
-			return m
-		}
-		delete(e.prevModels, depth)
-		if e.res == nil || depth >= e.res.Opts.MaxDepth {
-			e.res, e.gp = m.Chase, m.GP
-		}
-		e.models[depth] = m
-		return m
-	}
-	var res *chase.Result
-	var gp *ground.Program
-	switch {
-	case e.res != nil && depth > e.res.Opts.MaxDepth:
-		cs := tr.Child("chase-extend")
-		res, _ = e.res.ExtendCancel(e.Prog, depth, tok)
-		chaseCounters(cs, res)
-		cs.End()
-		switch {
-		case res == e.res:
-			gp = e.gp // saturated or truncated: the deeper chase is identical
-		case res.Interrupted:
-			return &Model{Chase: res, GP: e.gp, GM: &ground.Model{}, Interrupted: true}
-		default:
-			end := tr.Phase("reground")
-			gp = ground.ExtendFromChase(e.gp, res)
-			end()
-		}
-	case e.res != nil && depth == e.res.Opts.MaxDepth:
-		res, gp = e.res, e.gp
-	default:
-		cs := tr.Child("chase")
-		res = chase.Run(e.Prog, e.DB, chase.Options{MaxDepth: depth, MaxAtoms: e.Opts.MaxAtoms, Cancel: tok})
-		chaseCounters(cs, res)
-		cs.End()
-		if res.Interrupted {
-			return &Model{Chase: res, GP: ground.New(0, nil), GM: &ground.Model{}, Interrupted: true}
-		}
-		end := tr.Phase("ground")
-		gp = ground.FromChase(res)
-		end()
-	}
-	m := modelFromCancelTraced(e.Opts, res, gp, depth, tok, tr)
-	if m.Interrupted {
-		return m
-	}
-	if e.res == nil || depth >= e.res.Opts.MaxDepth {
-		e.res, e.gp = res, gp
-	}
-	e.models[depth] = m
-	return m
+	end := tr.Phase("ground")
+	gp := ground.FromChase(res)
+	end()
+	return wrapModel(opts, res, gp, solverFor(opts, tok, tr)(gp), depth)
 }
 
 // chaseCounters records a finished chase's shape on its span: universe
@@ -380,52 +267,19 @@ func chaseCounters(tr *trace.Span, res *chase.Result) {
 	}
 }
 
-// ApplyDelta rebases the engine onto a mutated database. Nothing is
-// re-evaluated eagerly: every cached model is staged for rebasing, and
-// the next EvaluateAtDepth at a staged depth carries the old model across
-// the (set-level) database change via RebaseModel — resumed chase for
-// additions, forest replay for retractions, warm-started fixpoint — so
-// the adaptive ladder after a small delta costs a fraction of a rebuild.
-// newDB must be the complete database after the mutation, with every atom
-// interned in the engine's store.
-func (e *Engine) ApplyDelta(newDB program.Database) {
-	e.DB = newDB
-	if e.prevModels == nil {
-		e.prevModels = make(map[int]*Model)
-	}
-	for d, m := range e.models {
-		e.prevModels[d] = m // staged models from older epochs are superseded
-	}
-	e.models = make(map[int]*Model)
-	e.cached = nil
-	e.res, e.gp = nil, nil
-}
-
 // ExtendModel continues a previously evaluated model's chase to a deeper
 // depth and evaluates the model there: the resumable-chase counterpart of
-// EvaluateAtDepth for layers that manage models themselves (the snapshot
-// ladder's chained rungs). prog must share prev's compiled rules and an
-// ID space extending its store — prev's own store, or a fresh overlay
-// over its frozen form. prev is not mutated: the extended chase and
-// grounding are appended copies, so prev keeps serving concurrent
-// readers.
-func ExtendModel(prev *Model, prog *program.Program, opts Options, depth int) *Model {
-	return ExtendModelTraced(prev, prog, opts, depth, nil)
-}
-
-// ExtendModelTraced is ExtendModel with observability (see
-// EvaluateAtDepthTraced for the span inventory).
-func ExtendModelTraced(prev *Model, prog *program.Program, opts Options, depth int, tr *trace.Span) *Model {
-	return ExtendModelCancelTraced(prev, prog, opts, depth, nil, tr)
-}
-
-// ExtendModelCancelTraced is ExtendModelTraced under a cancellation
-// token (nil = never cancelled); an interrupted extension returns a
-// discardable Model with Interrupted set.
-func ExtendModelCancelTraced(prev *Model, prog *program.Program, opts Options, depth int, tok *cancel.Token, tr *trace.Span) *Model {
+// Evaluate, which the snapshot ladder's chained rungs use so that each
+// depth increment is paid for once. prog must share prev's compiled rules
+// and an ID space extending its store — prev's own store, or a fresh
+// overlay over its frozen form. prev is not mutated: the extended chase
+// and grounding are appended copies, so prev keeps serving concurrent
+// readers. Spans and cancellation are as for Evaluate, with the chase
+// recorded as chase-extend and the grounding as reground.
+func ExtendModel(prev *Model, prog *program.Program, opts Options, depth int, tok *cancel.Token, tr *trace.Span) *Model {
 	opts = opts.withDefaults()
 	cs := tr.Child("chase-extend")
-	res, _ := prev.Chase.ExtendCancel(prog, depth, tok)
+	res, _ := prev.Chase.Extend(prog, depth, tok)
 	chaseCounters(cs, res)
 	cs.End()
 	if res.Interrupted {
@@ -437,7 +291,15 @@ func ExtendModelCancelTraced(prev *Model, prog *program.Program, opts Options, d
 		gp = ground.ExtendFromChase(prev.GP, res)
 		end()
 	}
-	return modelFromCancelTraced(opts, res, gp, depth, tok, tr)
+	return wrapModel(opts, res, gp, solverFor(opts, tok, tr)(gp), depth)
+}
+
+// interruptedModel is the discardable marker a cancelled stage returns:
+// it carries prev's (still valid, but stale) state purely so the fields
+// are non-nil, with Interrupted telling callers to convert it into the
+// token's cause and throw it away.
+func interruptedModel(prev *Model) *Model {
+	return &Model{Chase: prev.Chase, GP: prev.GP, GM: prev.GM, Interrupted: true}
 }
 
 // RebaseModel carries a previously evaluated model onto a mutated
@@ -454,33 +316,16 @@ func ExtendModelCancelTraced(prev *Model, prog *program.Program, opts Options, d
 // chase's store, and newDB (with every atom interned there) must be the
 // full database after the mutation. A state that cannot be rebased (a
 // truncated chase, or a depth mismatch from an off-ladder caller) falls
-// back to cold evaluation at the requested depth.
-func RebaseModel(prev *Model, prog *program.Program, opts Options, depth int, newDB program.Database) *Model {
-	return RebaseModelTraced(prev, prog, opts, depth, newDB, nil)
-}
-
-// RebaseModelTraced is RebaseModel with observability: the delta-apply
-// breakdown (diff, overdelete/rederive/reground under a delta-rebase
-// child, cone warm starts) becomes child spans of tr with the delta and
-// cone sizes as counters. tr nil is the plain rebase.
-func RebaseModelTraced(prev *Model, prog *program.Program, opts Options, depth int, newDB program.Database, tr *trace.Span) *Model {
-	return RebaseModelCancelTraced(prev, prog, opts, depth, newDB, nil, tr)
-}
-
-// interruptedModel is the discardable marker a cancelled stage returns:
-// it carries prev's (still valid, but stale) state purely so the fields
-// are non-nil, with Interrupted telling callers to convert it into the
-// token's cause and throw it away.
-func interruptedModel(prev *Model) *Model {
-	return &Model{Chase: prev.Chase, GP: prev.GP, GM: prev.GM, Interrupted: true}
-}
-
-// RebaseModelCancelTraced is RebaseModelTraced under a cancellation
-// token (nil = never cancelled). The token gates every stage — the
-// forest replay, the data-dimension continuation, the warm solves, the
-// deepening, and crucially the cold-rebuild fallback, which must not
-// run when the rebase failed *because* of the cancel.
-func RebaseModelCancelTraced(prev *Model, prog *program.Program, opts Options, depth int, newDB program.Database, tok *cancel.Token, tr *trace.Span) *Model {
+// back to Evaluate at the requested depth.
+//
+// The delta-apply breakdown (diff, overdelete/rederive/reground under a
+// delta-rebase child, cone warm starts) becomes child spans of tr with
+// the delta and cone sizes as counters. tok (nil = never cancelled)
+// gates every stage — the forest replay, the data-dimension
+// continuation, the warm solves, the deepening, and crucially the cold
+// fallback, which must not run when the rebase failed *because* of the
+// cancel. tr and tok may each be nil.
+func RebaseModel(prev *Model, prog *program.Program, opts Options, depth int, newDB program.Database, tok *cancel.Token, tr *trace.Span) *Model {
 	opts = opts.withDefaults()
 	endDiff := tr.Phase("diff")
 	added, removed := delta.Diff(prev.Chase.DB, newDB)
@@ -494,21 +339,18 @@ func RebaseModelCancelTraced(prev *Model, prog *program.Program, opts Options, d
 	// may have unsaturated it.
 	if prevCap := prev.Chase.Opts.MaxDepth; prevCap <= depth {
 		rb := tr.Child("delta-rebase")
-		reb, ok := delta.RebaseCancelTraced(prev.Chase, prev.GP, prog, newDB, added, removed, tok, rb)
+		reb, ok := delta.Rebase(prev.Chase, prev.GP, prog, newDB, added, removed, tok, rb)
 		rb.End()
-		if !ok && tok.Cancelled() {
-			return interruptedModel(prev)
-		}
 		if ok {
 			ws := tr.Child("warm-solve")
-			gm := ground.IncrementalModelCancelTraced(reb.GP, prev.GM, reb.Seeds, solverCancelFor(opts, tok), tok, ws)
+			gm := ground.IncrementalModel(reb.GP, prev.GM, reb.Seeds, solverFor(opts, tok, nil), tok, ws)
 			ws.End()
 			if gm.Interrupted {
 				return interruptedModel(prev)
 			}
 			res, gp := reb.Chase, reb.GP
 			cs := tr.Child("chase-extend")
-			ext, _ := res.ExtendCancel(prog, depth, tok)
+			ext, _ := res.Extend(prog, depth, tok)
 			if ext != res {
 				chaseCounters(cs, ext)
 			}
@@ -527,7 +369,7 @@ func RebaseModelCancelTraced(prev *Model, prog *program.Program, opts Options, d
 					seeds = append(seeds, res.Instances[i].Head)
 				}
 				ws2 := tr.Child("warm-solve")
-				gm = ground.IncrementalModelCancelTraced(gp, gm, seeds, solverCancelFor(opts, tok), tok, ws2)
+				gm = ground.IncrementalModel(gp, gm, seeds, solverFor(opts, tok, nil), tok, ws2)
 				ws2.End()
 				if gm.Interrupted {
 					return interruptedModel(prev)
@@ -539,17 +381,7 @@ func RebaseModelCancelTraced(prev *Model, prog *program.Program, opts Options, d
 	if tok.Cancelled() {
 		return interruptedModel(prev)
 	}
-	cs := tr.Child("chase")
-	res := chase.Run(prog, newDB, chase.Options{MaxDepth: depth, MaxAtoms: opts.MaxAtoms, Cancel: tok})
-	chaseCounters(cs, res)
-	cs.End()
-	if res.Interrupted {
-		return interruptedModel(prev)
-	}
-	endG := tr.Phase("ground")
-	gp := ground.FromChase(res)
-	endG()
-	return modelFromCancelTraced(opts, res, gp, depth, tok, tr)
+	return Evaluate(prog, newDB, opts, depth, tok, tr)
 }
 
 // solverFor returns the solve path the options select, as a function
@@ -557,29 +389,14 @@ func RebaseModelCancelTraced(prev *Model, prog *program.Program, opts Options, d
 // evaluation, which applies it to the affected subprogram): the modular
 // SCC-wise evaluation, with the configured fixpoint algorithm run inside
 // each negation-cyclic component and up to opts.Parallelism independent
-// components solved concurrently.
-func solverFor(opts Options) func(*ground.Program) *ground.Model {
-	return solverForTraced(opts, nil)
-}
-
-// solverForTraced is solverFor with the modular solve recording its
-// condense/solve phases (and, on a Detailed trace, the slowest
-// components) onto tr.
-func solverForTraced(opts Options, tr *trace.Span) func(*ground.Program) *ground.Model {
-	return solverCancelForTraced(opts, nil, tr)
-}
-
-// solverCancelFor is solverFor carrying a cancellation token into the
-// modular solve (nil = never cancelled).
-func solverCancelFor(opts Options, tok *cancel.Token) func(*ground.Program) *ground.Model {
-	return solverCancelForTraced(opts, tok, nil)
-}
-
-func solverCancelForTraced(opts Options, tok *cancel.Token, tr *trace.Span) func(*ground.Program) *ground.Model {
+// components solved concurrently. The solve records its condense/solve
+// phases (and, on a Detailed trace, the slowest components) onto tr and
+// polls tok; either may be nil.
+func solverFor(opts Options, tok *cancel.Token, tr *trace.Span) func(*ground.Program) *ground.Model {
 	algo := algorithmFor(opts.Algorithm)
 	par := opts.Parallelism
 	return func(p *ground.Program) *ground.Model {
-		return ground.SolveModularCancelTraced(p, algo, par, tok, tr)
+		return ground.SolveModular(p, algo, par, tok, tr)
 	}
 }
 
@@ -595,22 +412,6 @@ func algorithmFor(a Algorithm) func(*ground.Program) *ground.Model {
 	default:
 		return ground.AlternatingFixpoint
 	}
-}
-
-// modelFrom runs the configured WFS fixpoint algorithm over a grounded
-// chase and wraps the result with its exactness and guard-band metadata.
-func modelFrom(opts Options, res *chase.Result, gp *ground.Program, depth int) *Model {
-	return modelFromTraced(opts, res, gp, depth, nil)
-}
-
-func modelFromTraced(opts Options, res *chase.Result, gp *ground.Program, depth int, tr *trace.Span) *Model {
-	return wrapModel(opts, res, gp, solverForTraced(opts, tr)(gp), depth)
-}
-
-// modelFromCancelTraced is modelFromTraced with the token threaded into
-// the solve; an interrupted solve (or chase) marks the model.
-func modelFromCancelTraced(opts Options, res *chase.Result, gp *ground.Program, depth int, tok *cancel.Token, tr *trace.Span) *Model {
-	return wrapModel(opts, res, gp, solverCancelForTraced(opts, tok, tr)(gp), depth)
 }
 
 // wrapModel attaches exactness and guard-band metadata to an evaluated
@@ -764,42 +565,26 @@ type AnswerStats struct {
 // opts.AdaptiveStep until the three-valued answer is unchanged for the
 // configured stability window, or the chase saturates (exact), or the
 // opts.MaxDepth ceiling is reached. modelAt supplies (or recalls) the
-// model at a given depth — an error (e.g. a rung schedule mismatch in the
-// snapshot layer) aborts the ladder instead of crashing or silently
-// answering False; an empty schedule (Options.Validate) is an error for
-// the same reason. compile resolves the query against that model's ID
-// space (evaluation layers that intern per model, like snapshots, must
-// recompile when the query references unseen names). Both Engine.Answer
-// and the snapshot layer delegate here, so the two paths can never
-// diverge.
-func AdaptiveAnswer(opts Options, modelAt func(depth int) (*Model, error),
-	compile func(*Model) (*program.Query, error)) (ground.Truth, *AnswerStats, error) {
-	return AdaptiveAnswerTraced(opts,
-		func(d int, _ *trace.Span) (*Model, error) { return modelAt(d) },
-		compile, nil)
-}
-
-// AdaptiveAnswerTraced is the ladder with observability: each depth rung
-// becomes a depth-N child span of tr (model materialization recorded by
-// modelAt under the span it receives, the query match under a match
-// child) carrying the three-valued answer at that depth as a counter.
-// tr nil is the plain ladder; the one extra nil check per rung is the
-// entire disabled cost.
-func AdaptiveAnswerTraced(opts Options, modelAt func(depth int, tr *trace.Span) (*Model, error),
-	compile func(*Model) (*program.Query, error), tr *trace.Span) (ground.Truth, *AnswerStats, error) {
-	return AdaptiveAnswerCancelTraced(opts, modelAt, compile, nil, tr)
-}
-
-// AdaptiveAnswerCancelTraced is the ladder under a cancellation token
-// (nil = never cancelled). The token is checked before every rung, and
-// a rung whose model comes back Interrupted converts to the token's
-// cause (context.DeadlineExceeded / context.Canceled) as the error. On
-// cancellation the stats of the *completed* rungs and the last computed
-// answer are still returned alongside the error — the graceful-
-// degradation path (?partial=1) serves the deepest completed rung's
-// answer marked inexact. A rung whose chase hit the MaxAtoms valve
-// returns the structured ErrBudgetExceeded the same way.
-func AdaptiveAnswerCancelTraced(opts Options, modelAt func(depth int, tr *trace.Span) (*Model, error),
+// model at a given depth, recording any materialization under the span
+// it receives — an error (e.g. a rung schedule mismatch in the snapshot
+// layer) aborts the ladder instead of crashing or silently answering
+// False; an empty schedule (Options.Validate) is an error for the same
+// reason. compile resolves the query against that model's ID space
+// (evaluation layers that intern per model, like snapshots, must
+// recompile when the query references unseen names).
+//
+// Each rung becomes a depth-N child span of tr (the query match under a
+// match child) carrying the three-valued answer at that depth as a
+// counter; tr nil costs one nil check per rung. tok (nil = never
+// cancelled) is checked between rungs, and a rung whose model comes back
+// Interrupted converts to the token's cause (context.DeadlineExceeded /
+// context.Canceled) as the error. On cancellation the stats of the
+// *completed* rungs and the last computed answer are still returned
+// alongside the error — the graceful-degradation path (?partial=1)
+// serves the deepest completed rung's answer marked inexact. A rung
+// whose chase hit the MaxAtoms valve returns the structured
+// ErrBudgetExceeded the same way.
+func AdaptiveAnswer(opts Options, modelAt func(depth int, tr *trace.Span) (*Model, error),
 	compile func(*Model) (*program.Query, error), tok *cancel.Token, tr *trace.Span) (ground.Truth, *AnswerStats, error) {
 	if err := opts.Validate(); err != nil {
 		return ground.False, nil, err
@@ -817,7 +602,7 @@ func AdaptiveAnswerCancelTraced(opts Options, modelAt func(depth int, tr *trace.
 		// off the warm answer path without hurting cancellation latency.
 		if rung&3 == 0 && tok.Cancelled() {
 			tr.MarkCancelled()
-			return last, stats, cancelCause(tok)
+			return last, stats, tok.Reason()
 		}
 		rung++
 		var ds *trace.Span
@@ -833,12 +618,12 @@ func AdaptiveAnswerCancelTraced(opts Options, modelAt func(depth int, tr *trace.
 			ds.MarkCancelled()
 			ds.End()
 			tr.MarkCancelled()
-			return last, stats, cancelCause(tok)
+			return last, stats, tok.Reason()
 		}
-		if m.Chase.Truncated {
+		if err := m.Chase.BudgetErr(); err != nil {
 			ds.SetCount("budget_exceeded", 1)
 			ds.End()
-			return last, stats, budgetErr(m.Chase)
+			return last, stats, err
 		}
 		q, err := compile(m)
 		if err != nil {
@@ -870,20 +655,4 @@ func AdaptiveAnswerCancelTraced(opts Options, modelAt func(depth int, tr *trace.
 		last = ans
 	}
 	return last, stats, nil
-}
-
-// Answer evaluates an NBCQ by adaptive deepening (see AdaptiveAnswer).
-// Successive rungs share the engine's resumable chase, so the ladder
-// re-derives nothing. The error reports a configuration whose schedule
-// cannot evaluate anything (see Options.Validate).
-func (e *Engine) Answer(q *program.Query) (ground.Truth, *AnswerStats, error) {
-	return AdaptiveAnswer(e.Opts,
-		func(d int) (*Model, error) { return e.EvaluateAtDepth(d), nil },
-		func(*Model) (*program.Query, error) { return q, nil })
-}
-
-// Holds reports whether the NBCQ is certainly satisfied (three-valued
-// answer True) at the engine's configured depth.
-func (e *Engine) Holds(q *program.Query) bool {
-	return e.Evaluate().Answer(q) == ground.True
 }

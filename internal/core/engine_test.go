@@ -7,6 +7,7 @@ import (
 	"repro/internal/ground"
 	"repro/internal/program"
 	"repro/internal/term"
+	"repro/internal/trace"
 )
 
 // example4 is the paper's Example 4 program (given there in Σf form; here
@@ -39,6 +40,22 @@ func compile(t *testing.T, src string) (*program.Program, program.Database, []*p
 	return prog, db, qs, st
 }
 
+// answer runs the adaptive ladder over one program and database, each
+// rung resuming the previous rung's chase (ExtendModel) so the ladder
+// pays for each depth increment once.
+func answer(prog *program.Program, db program.Database, opts Options, q *program.Query) (ground.Truth, *AnswerStats, error) {
+	var last *Model
+	modelAt := func(d int, tr *trace.Span) (*Model, error) {
+		if last == nil {
+			last = Evaluate(prog, db, opts, d, nil, tr)
+		} else {
+			last = ExtendModel(last, prog, opts, d, nil, tr)
+		}
+		return last, nil
+	}
+	return AdaptiveAnswer(opts, modelAt, func(*Model) (*program.Query, error) { return q, nil }, nil, nil)
+}
+
 // mustAtom interns a ground atom from constants already in the store.
 func mustAtom(t *testing.T, st *atom.Store, pred string, args ...term.ID) atom.AtomID {
 	t.Helper()
@@ -51,8 +68,7 @@ func mustAtom(t *testing.T, st *atom.Store, pred string, args ...term.ID) atom.A
 
 func TestExample4PaperLiterals(t *testing.T) {
 	prog, db, _, st := compile(t, example4)
-	e := NewEngine(prog, db, Options{Depth: 10})
-	m := e.Evaluate()
+	m := Evaluate(prog, db, Options{}, 10, nil, nil)
 
 	c0 := st.Terms.Const("0")
 	c1 := st.Terms.Const("1")
@@ -100,8 +116,7 @@ func TestExample4AllAlgorithmsAgree(t *testing.T) {
 	prog, db, _, _ := compile(t, example4)
 	var models []*Model
 	for _, alg := range []Algorithm{AltFixpoint, UnfoundedSets, ForwardProofs} {
-		e := NewEngine(prog, db, Options{Depth: 8, Algorithm: alg})
-		models = append(models, e.Evaluate())
+		models = append(models, Evaluate(prog, db, Options{Algorithm: alg}, 8, nil, nil))
 	}
 	for i := 1; i < len(models); i++ {
 		if !models[0].GM.Equal(models[i].GM) {
@@ -112,7 +127,6 @@ func TestExample4AllAlgorithmsAgree(t *testing.T) {
 
 func TestExample4QueryAnswers(t *testing.T) {
 	prog, db, _, st := compile(t, example4)
-	e := NewEngine(prog, db, Options{})
 
 	for _, tc := range []struct {
 		q    string
@@ -129,7 +143,7 @@ func TestExample4QueryAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", tc.q, err)
 		}
-		got, stats, err := e.Answer(q)
+		got, stats, err := answer(prog, db, Options{}, q)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.q, err)
 		}
@@ -152,8 +166,7 @@ func TestExample4IterationGrowth(t *testing.T) {
 	prev := 0
 	grew := 0
 	for _, d := range []int{4, 8, 12, 16} {
-		e := NewEngine(prog, db, Options{Depth: d})
-		m := e.Evaluate()
+		m := Evaluate(prog, db, Options{}, d, nil, nil)
 		if got := m.Truth(mustAtom(t, st, "t", c0)); got != ground.True {
 			t.Fatalf("depth %d: T(0) = %v, want true", d, got)
 		}
@@ -177,8 +190,7 @@ move(a,b). move(b,c). move(d,e). move(e,d).
 move(X,Y), not win(Y) -> win(X).
 `
 	prog, db, _, st := compile(t, src)
-	e := NewEngine(prog, db, Options{})
-	m := e.Evaluate()
+	m := Evaluate(prog, db, Options{}, 0, nil, nil)
 	if !m.Exact {
 		t.Fatalf("win-move chase should saturate (no existentials)")
 	}
@@ -206,8 +218,7 @@ person(X) -> id1(X, Y).
 person(X) -> id2(X, Y).
 `
 	prog, db, _, st := compile(t, src)
-	e := NewEngine(prog, db, Options{})
-	m := e.Evaluate()
+	m := Evaluate(prog, db, Options{}, 0, nil, nil)
 	ca := st.Terms.Const("a")
 	f1 := prog.Rules[0].Exist[0].Fn
 	f2 := prog.Rules[1].Exist[0].Fn
@@ -229,8 +240,7 @@ person(X) -> id2(X, Y).
 
 func TestWCheckAgreesWithSaturation(t *testing.T) {
 	prog, db, _, _ := compile(t, example4)
-	e := NewEngine(prog, db, Options{Depth: 8})
-	m := e.Evaluate()
+	m := Evaluate(prog, db, Options{}, 8, nil, nil)
 	for i, g := range m.GP.Atoms {
 		want := m.GM.Truth[i]
 		got, _ := m.WCheck(g)
@@ -249,8 +259,7 @@ move(y1,y2). move(y2,y1).
 move(X,Y), not win(Y) -> win(X).
 `
 	prog, db, _, st := compile(t, src)
-	e := NewEngine(prog, db, Options{})
-	m := e.Evaluate()
+	m := Evaluate(prog, db, Options{}, 0, nil, nil)
 	cb := st.Terms.Const("b")
 	goal := mustAtom(t, st, "win", cb)
 	truth, stats := m.WCheck(goal)
@@ -283,8 +292,7 @@ emp(X), seeker(X) -> false.
 id(X, Y), id(X, Z) -> Y = Z.
 `
 	prog, db, _, _ := compile(t, src)
-	e := NewEngine(prog, db, Options{})
-	m := e.Evaluate()
+	m := Evaluate(prog, db, Options{}, 0, nil, nil)
 	vs := m.CheckConstraints()
 	var kinds []string
 	for _, v := range vs {
@@ -305,12 +313,11 @@ start(X) -> reach(X).
 reach(X), edge(X,Y) -> reach(Y).
 `
 	prog, db, _, st := compile(t, src)
-	e := NewEngine(prog, db, Options{})
 	q, err := program.ParseQuery("? reach(c).", st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := e.Answer(q)
+	got, stats, err := answer(prog, db, Options{}, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,7 @@ import (
 // exactly {Q(1), Q(a)}, and a proof of the R-chain member has none.
 func TestExplainExample6MinimalProofs(t *testing.T) {
 	prog, db, _, st := compile(t, example4)
-	e := NewEngine(prog, db, Options{Depth: 8})
-	m := e.Evaluate()
+	m := Evaluate(prog, db, Options{}, 8, nil, nil)
 
 	c0 := st.Terms.Const("0")
 	c1 := st.Terms.Const("1")
@@ -68,7 +67,7 @@ func TestExplainExample6MinimalProofs(t *testing.T) {
 
 func TestExplainStructureIsWellFounded(t *testing.T) {
 	prog, db, _, st := compile(t, example4)
-	m := NewEngine(prog, db, Options{Depth: 8}).Evaluate()
+	m := Evaluate(prog, db, Options{}, 8, nil, nil)
 	// Every true atom must have a proof whose leaves are database facts
 	// and whose edges follow recorded instances.
 	for _, g := range m.TrueAtoms() {
@@ -109,7 +108,7 @@ func TestExplainStructureIsWellFounded(t *testing.T) {
 
 func TestExplainFalseAtom(t *testing.T) {
 	prog, db, _, st := compile(t, example4)
-	m := NewEngine(prog, db, Options{Depth: 8}).Evaluate()
+	m := Evaluate(prog, db, Options{}, 8, nil, nil)
 	c1 := st.Terms.Const("1")
 	qp, _ := st.LookupPred("q")
 	q1 := st.Atom(qp, []term.ID{c1})
@@ -143,7 +142,7 @@ func TestExplainFalseAtom(t *testing.T) {
 
 func TestProofRender(t *testing.T) {
 	prog, db, _, st := compile(t, example4)
-	m := NewEngine(prog, db, Options{Depth: 8}).Evaluate()
+	m := Evaluate(prog, db, Options{}, 8, nil, nil)
 	c0 := st.Terms.Const("0")
 	tp, _ := st.LookupPred("t")
 	t0 := st.Atom(tp, []term.ID{c0})
@@ -169,7 +168,7 @@ a(X) -> c(X).
 b(X), c(X) -> d(X).
 `
 	prog, db, _, st := compile(t, src)
-	m := NewEngine(prog, db, Options{}).Evaluate()
+	m := Evaluate(prog, db, Options{}, 0, nil, nil)
 	dp, _ := st.LookupPred("d")
 	dx := st.Atom(dp, []term.ID{st.Terms.Const("x")})
 	proof, ok := m.Explain(dx)

@@ -21,17 +21,15 @@ func TestGuardBandSuppressesFrontierArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := NewEngine(prog, db, Options{Depth: 8})
-	m := e.Evaluate()
+	m := Evaluate(prog, db, Options{}, 8, nil, nil)
 	if got := m.Answer(q); got != ground.False {
 		t.Errorf("with guard band: answer = %v, want false", got)
 	}
 
 	// White box: disabling the band (UsableDepth -1 = everything usable)
-	// on the same truncated model exposes the artifact. A fresh engine is
-	// used because models are cached per depth and m above must keep its
-	// guard-banded indexes.
-	raw := NewEngine(prog, db, Options{Depth: 8}).EvaluateAtDepth(8)
+	// on the same truncated model exposes the artifact. A fresh model is
+	// used because m above must keep its guard-banded indexes.
+	raw := Evaluate(prog, db, Options{}, 8, nil, nil)
 	raw.UsableDepth = -1
 	if got := raw.Answer(q); got != ground.True {
 		t.Errorf("without guard band the frontier artifact should appear (got %v)", got)
@@ -45,8 +43,7 @@ start(a). edge(a,b). edge(b,c).
 start(X) -> reach(X).
 reach(X), edge(X,Y) -> reach(Y).
 `)
-	e := NewEngine(prog, db, Options{Depth: 8})
-	m := e.Evaluate()
+	m := Evaluate(prog, db, Options{}, 8, nil, nil)
 	if !m.Exact {
 		t.Fatalf("chase should saturate")
 	}
@@ -87,7 +84,7 @@ func TestAlgorithmString(t *testing.T) {
 
 func TestTruthOutsideUniverse(t *testing.T) {
 	prog, db, _, st := compile(t, "p(a).")
-	m := NewEngine(prog, db, Options{}).Evaluate()
+	m := Evaluate(prog, db, Options{}, 0, nil, nil)
 	pp, _ := st.LookupPred("p")
 	never := st.Atom(pp, []term.ID{st.Terms.Const("zzz")})
 	if got := m.Truth(never); got != ground.False {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestIncrementalLadderMatchesFromScratch is the tentpole cross-check:
-// for every depth of the adaptive-deepening ladder, the engine's
+// for every depth of the adaptive-deepening ladder, ExtendModel's
 // incremental evaluation (resumable chase + appended grounding) must
 // produce the same derived universe, the same instance set, and the same
 // three-valued model as a from-scratch chase.Run at that depth — for all
@@ -21,10 +21,15 @@ func TestIncrementalLadderMatchesFromScratch(t *testing.T) {
 
 	for _, alg := range []Algorithm{AltFixpoint, UnfoundedSets, ForwardProofs, Remainder} {
 		t.Run(alg.String(), func(t *testing.T) {
-			inc := NewEngine(prog, db, Options{Algorithm: alg})
+			opts := Options{Algorithm: alg}
+			var m *Model
 			for _, d := range depths {
-				m := inc.EvaluateAtDepth(d) // extends the previous depth's chase
-				scratch := NewEngine(prog, db, Options{Algorithm: alg}).EvaluateAtDepth(d)
+				if m == nil {
+					m = Evaluate(prog, db, opts, d, nil, nil)
+				} else {
+					m = ExtendModel(m, prog, opts, d, nil, nil) // extends the previous depth's chase
+				}
+				scratch := Evaluate(prog, db, opts, d, nil, nil)
 
 				// Derived universe: same atoms at the same minimal depths.
 				if len(m.Chase.Atoms) != len(scratch.Chase.Atoms) {
@@ -64,18 +69,18 @@ func TestIncrementalLadderMatchesFromScratch(t *testing.T) {
 
 // TestEngineReusesChaseAcrossLadder (white box): the adaptive ladder must
 // not re-chase from the database — successive depths extend one resumable
-// chase, and repeated requests for the same depth return the cached
-// model.
+// chase (ExtendModel), and the shallower model it extends is left intact
+// for its concurrent readers.
 func TestEngineReusesChaseAcrossLadder(t *testing.T) {
 	prog, db, _, _ := compile(t, example4)
-	e := NewEngine(prog, db, Options{})
-	m4 := e.EvaluateAtDepth(4)
-	if e.res == nil || e.res.Opts.MaxDepth != 4 {
-		t.Fatalf("engine did not retain the depth-4 chase")
+	m4 := Evaluate(prog, db, Options{}, 4, nil, nil)
+	n4 := len(m4.Chase.Atoms)
+	m6 := ExtendModel(m4, prog, Options{}, 6, nil, nil)
+	if m6.Chase.Opts.MaxDepth != 6 {
+		t.Fatalf("chase not advanced to depth 6")
 	}
-	m6 := e.EvaluateAtDepth(6)
-	if e.res.Opts.MaxDepth != 6 {
-		t.Fatalf("engine chase not advanced to depth 6")
+	if m4.Chase.Opts.MaxDepth != 4 || len(m4.Chase.Atoms) != n4 {
+		t.Fatalf("extension mutated the depth-4 chase")
 	}
 	// The deeper universe extends the shallower one as a prefix.
 	for i, a := range m4.Chase.Atoms {
@@ -83,17 +88,16 @@ func TestEngineReusesChaseAcrossLadder(t *testing.T) {
 			t.Fatalf("extension reordered atom %d", i)
 		}
 	}
-	if e.EvaluateAtDepth(4) != m4 || e.EvaluateAtDepth(6) != m6 {
-		t.Error("per-depth model cache missed")
+	// The grounding is appended, not rebuilt: shared local numbering.
+	for i, a := range m4.GP.Atoms {
+		if m6.GP.Atoms[i] != a {
+			t.Fatalf("regrounding renumbered local atom %d", i)
+		}
 	}
-	// A shallower, off-ladder depth still evaluates correctly (fresh run)
-	// and does not clobber the deeper resumable state.
-	m3 := e.EvaluateAtDepth(3)
+	// A shallower, off-ladder depth still evaluates correctly (fresh run).
+	m3 := Evaluate(prog, db, Options{}, 3, nil, nil)
 	if len(m3.Chase.Atoms) > len(m6.Chase.Atoms) {
 		t.Error("shallow model larger than deep model")
-	}
-	if e.res.Opts.MaxDepth != 6 {
-		t.Errorf("shallow request clobbered the deep chase (now %d)", e.res.Opts.MaxDepth)
 	}
 }
 
@@ -107,8 +111,7 @@ func TestAdaptiveAnswerEmptyScheduleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(prog, db, Options{GuardBand: 30})
-	_, _, aerr := e.Answer(q)
+	_, _, aerr := answer(prog, db, Options{GuardBand: 30}, q)
 	if aerr == nil {
 		t.Fatal("empty adaptive schedule answered without error")
 	}
@@ -139,12 +142,11 @@ edge(a,b). edge(b,c). start(a).
 start(X) -> reach(X).
 reach(X), edge(X,Y) -> reach(Y).
 `)
-	e := NewEngine(prog, db, Options{})
-	m := e.EvaluateAtDepth(10)
+	m := Evaluate(prog, db, Options{}, 10, nil, nil)
 	if !m.Exact {
 		t.Fatal("finite chase should saturate")
 	}
-	ext := ExtendModel(m, prog, e.Opts, 20)
+	ext := ExtendModel(m, prog, Options{}, 20, nil, nil)
 	if ext.Chase != m.Chase || ext.GP != m.GP {
 		t.Error("saturated extension rebuilt chase or grounding")
 	}
@@ -161,7 +163,7 @@ func TestIncrementalChaseCrossChecksUnderTruncation(t *testing.T) {
 	if !res.Truncated {
 		t.Fatal("expected truncation")
 	}
-	ext := res.Extend(prog, 20)
+	ext, _ := res.Extend(prog, 20, nil)
 	if !ext.Truncated {
 		t.Error("extension dropped the truncation flag")
 	}

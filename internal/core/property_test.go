@@ -89,8 +89,7 @@ func TestPipelinePropertyRandomGuarded(t *testing.T) {
 		}
 		models := make([]*Model, 4)
 		for i, alg := range []Algorithm{AltFixpoint, UnfoundedSets, ForwardProofs, Remainder} {
-			e := NewEngine(prog, db, Options{Depth: 5, Algorithm: alg})
-			models[i] = e.Evaluate()
+			models[i] = Evaluate(prog, db, Options{Algorithm: alg}, 5, nil, nil)
 		}
 		for i := 1; i < len(models); i++ {
 			if !models[0].GM.Equal(models[i].GM) {
@@ -122,12 +121,11 @@ func TestDeepeningStableOnSaturatedPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := NewEngine(prog, db, Options{})
-		m1 := e.EvaluateAtDepth(12)
+		m1 := Evaluate(prog, db, Options{}, 12, nil, nil)
 		if !m1.Exact {
 			continue // infinite chase; skip
 		}
-		m2 := e.EvaluateAtDepth(20)
+		m2 := ExtendModel(m1, prog, Options{}, 20, nil, nil)
 		if len(m1.GP.Atoms) != len(m2.GP.Atoms) {
 			t.Fatalf("round %d: saturated universes differ", round)
 		}
@@ -158,7 +156,7 @@ func TestStratifiedRandomTwoValued(t *testing.T) {
 			continue
 		}
 		checked++
-		m := NewEngine(prog, db, Options{Depth: 6}).Evaluate()
+		m := Evaluate(prog, db, Options{}, 6, nil, nil)
 		if m.GM.CountUndefined() != 0 {
 			t.Fatalf("stratified program has undefined atoms:\n%s", src)
 		}
@@ -179,7 +177,7 @@ func TestGroundProgramWellFormed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := NewEngine(prog, db, Options{Depth: 5}).Evaluate()
+		m := Evaluate(prog, db, Options{}, 5, nil, nil)
 		for _, in := range m.Chase.Instances {
 			if !m.Chase.Derived(in.Head) {
 				t.Fatalf("instance head not derived")

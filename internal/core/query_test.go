@@ -14,7 +14,6 @@ func TestQueryEqualities(t *testing.T) {
 	prog, db, _, st := compile(t, `
 likes(ann, bob). likes(bob, ann). likes(cid, cid).
 `)
-	e := NewEngine(prog, db, Options{})
 	for _, tc := range []struct {
 		q    string
 		want ground.Truth
@@ -31,7 +30,7 @@ likes(ann, bob). likes(bob, ann). likes(cid, cid).
 		if err != nil {
 			t.Fatalf("parse %q: %v", tc.q, err)
 		}
-		if got, _, _ := e.Answer(q); got != tc.want {
+		if got, _, _ := answer(prog, db, Options{}, q); got != tc.want {
 			t.Errorf("%s = %v, want %v", tc.q, got, tc.want)
 		}
 	}
@@ -39,7 +38,6 @@ likes(ann, bob). likes(bob, ann). likes(cid, cid).
 
 func TestQueryEqualityUnsat(t *testing.T) {
 	prog, db, _, st := compile(t, "p(a).")
-	e := NewEngine(prog, db, Options{})
 	for _, qs := range []string{
 		"? p(X), X = a, X = b.",
 		"? p(X), a = b.",
@@ -52,7 +50,7 @@ func TestQueryEqualityUnsat(t *testing.T) {
 		if !q.Unsat {
 			t.Errorf("%s not marked Unsat", qs)
 		}
-		if got, _, _ := e.Answer(q); got != ground.False {
+		if got, _, _ := answer(prog, db, Options{}, q); got != ground.False {
 			t.Errorf("%s = %v, want false", qs, got)
 		}
 	}
@@ -60,21 +58,20 @@ func TestQueryEqualityUnsat(t *testing.T) {
 
 func TestQueryEqualityMakesNegativeSafe(t *testing.T) {
 	prog, db, _, st := compile(t, "p(a).\nq(b).")
-	e := NewEngine(prog, db, Options{})
 	// Y appears only in the negative literal but is equality-bound to a
 	// constant: safe.
 	q, err := program.ParseQuery("? p(X), Y = b, not q(Y).", st)
 	if err != nil {
 		t.Fatalf("equality-bound negative rejected: %v", err)
 	}
-	if got, _, _ := e.Answer(q); got != ground.False { // q(b) is true
+	if got, _, _ := answer(prog, db, Options{}, q); got != ground.False { // q(b) is true
 		t.Errorf("answer = %v, want false", got)
 	}
 	q2, err := program.ParseQuery("? p(X), Y = c, not q(Y).", st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _ := e.Answer(q2); got != ground.True { // q(c) never derived
+	if got, _, _ := answer(prog, db, Options{}, q2); got != ground.True { // q(c) never derived
 		t.Errorf("answer = %v, want true", got)
 	}
 	// Unbound equality chain stays unsafe.
@@ -90,8 +87,7 @@ employed(ann).
 person(X) -> hasID(X, Y).
 person(X), not employed(X) -> unemployed(X).
 `)
-	e := NewEngine(prog, db, Options{})
-	m := e.Evaluate()
+	m := Evaluate(prog, db, Options{}, 0, nil, nil)
 
 	q, err := program.ParseQuery("? unemployed(X).", st)
 	if err != nil {
@@ -123,7 +119,7 @@ func TestSelectDeduplicates(t *testing.T) {
 edge(a,b). edge(a,c).
 edge(X, Y) -> src(X).
 `)
-	m := NewEngine(prog, db, Options{}).Evaluate()
+	m := Evaluate(prog, db, Options{}, 0, nil, nil)
 	q, err := program.ParseQuery("? src(X).", st)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +134,7 @@ func TestUndefinedQueryAnswer(t *testing.T) {
 move(a,b). move(b,a). move(c,dend).
 move(X,Y), not win(Y) -> win(X).
 `)
-	e := NewEngine(prog, db, Options{})
+	m := Evaluate(prog, db, Options{}, 0, nil, nil)
 	for _, tc := range []struct {
 		q    string
 		want ground.Truth
@@ -156,7 +152,7 @@ move(X,Y), not win(Y) -> win(X).
 		if err != nil {
 			t.Fatalf("parse %q: %v", tc.q, err)
 		}
-		if got := e.Evaluate().Answer(q); got != tc.want {
+		if got := m.Answer(q); got != tc.want {
 			t.Errorf("%s = %v, want %v", tc.q, got, tc.want)
 		}
 	}
@@ -164,7 +160,7 @@ move(X,Y), not win(Y) -> win(X).
 
 func TestBindingsEnumeration(t *testing.T) {
 	prog, db, _, st := compile(t, "p(a). p(b). p(c).")
-	m := NewEngine(prog, db, Options{}).Evaluate()
+	m := Evaluate(prog, db, Options{}, 0, nil, nil)
 	q, err := program.ParseQuery("? p(X).", st)
 	if err != nil {
 		t.Fatal(err)
@@ -194,8 +190,7 @@ seed(X) -> p(X, Y).
 p(X, Y), not q(Y) -> q(X).
 `
 	prog, db, _, st := compile(t, src)
-	e := NewEngine(prog, db, Options{Depth: 6})
-	m := e.Evaluate()
+	m := Evaluate(prog, db, Options{}, 6, nil, nil)
 	for i, g := range m.GP.Atoms {
 		if st.PredName(st.PredOf(g)) != "win" {
 			continue
@@ -222,7 +217,7 @@ func TestWCheckGoalDirectedRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := NewEngine(prog, db, Options{Depth: 5}).Evaluate()
+		m := Evaluate(prog, db, Options{}, 5, nil, nil)
 		for i, g := range m.GP.Atoms {
 			if i%3 != 0 {
 				continue // sample

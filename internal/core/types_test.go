@@ -14,7 +14,7 @@ import (
 // and drives Lemma 11 / Proposition 12.
 func TestTypesChainPeriodicity(t *testing.T) {
 	prog, db, _, st := compile(t, example4)
-	m := NewEngine(prog, db, Options{Depth: 12}).Evaluate()
+	m := Evaluate(prog, db, Options{}, 12, nil, nil)
 
 	c0 := st.Terms.Const("0")
 	c1 := st.Terms.Const("1")
@@ -52,7 +52,7 @@ func TestTypesChainPeriodicity(t *testing.T) {
 
 func TestTypesXIsomorphismPinsTerms(t *testing.T) {
 	prog, db, _, st := compile(t, example4)
-	m := NewEngine(prog, db, Options{Depth: 10}).Evaluate()
+	m := Evaluate(prog, db, Options{}, 10, nil, nil)
 	c0 := st.Terms.Const("0")
 	c1 := st.Terms.Const("1")
 	sk := prog.Rules[0].Exist[0].Fn
@@ -77,7 +77,7 @@ func TestTypesXIsomorphismPinsTerms(t *testing.T) {
 
 func TestTypesDifferentPredicatesNotIsomorphic(t *testing.T) {
 	prog, db, _, st := compile(t, "p(a). q(a).")
-	m := NewEngine(prog, db, Options{}).Evaluate()
+	m := Evaluate(prog, db, Options{}, 0, nil, nil)
 	pp, _ := st.LookupPred("p")
 	qp, _ := st.LookupPred("q")
 	ca := st.Terms.Const("a")
@@ -97,7 +97,7 @@ func TestTypeOfContents(t *testing.T) {
 p(a). q(a). r(a,b).
 p(X), not s(X) -> u(X).
 `)
-	m := NewEngine(prog, db, Options{}).Evaluate()
+	m := Evaluate(prog, db, Options{}, 0, nil, nil)
 	pp, _ := st.LookupPred("p")
 	ca := st.Terms.Const("a")
 	pa := st.Atom(pp, []term.ID{ca})

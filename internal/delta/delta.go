@@ -72,30 +72,18 @@ type Result struct {
 // it (chase.Result.ExtendDB), and the grounding is appended in place for
 // pure additions or rebuilt over the surviving chase after a retraction.
 //
+// The overdelete (retract), rederive (extend-db), and reground stages
+// become child spans of tr, with delta sizes (added/removed facts, dead
+// and refired instances) as counters. tok (nil = never cancelled) is
+// threaded into the retraction replay and the data-dimension chase
+// continuation. tr and tok may each be nil.
+//
 // ok is false when the state cannot be rebased — a truncated chase, whose
 // instance set is incomplete — and the caller must re-evaluate from
-// scratch.
+// scratch. A cancelled rebase also reports ok=false, with an interrupted
+// chase: callers on a cancellable path must check the token before
+// falling back to a from-scratch rebuild.
 func Rebase(res *chase.Result, gp *ground.Program, prog *program.Program,
-	newDB program.Database, added, removed []atom.AtomID) (Result, bool) {
-	return RebaseTraced(res, gp, prog, newDB, added, removed, nil)
-}
-
-// RebaseTraced is Rebase with observability: the overdelete (retract),
-// rederive (extend-db), and reground stages become child spans of tr,
-// with delta sizes (added/removed facts, dead and refired instances) as
-// counters. tr nil degrades to the plain rebase.
-func RebaseTraced(res *chase.Result, gp *ground.Program, prog *program.Program,
-	newDB program.Database, added, removed []atom.AtomID, tr *trace.Span) (Result, bool) {
-	return RebaseCancelTraced(res, gp, prog, newDB, added, removed, nil, tr)
-}
-
-// RebaseCancelTraced is RebaseTraced under a cancellation token (nil =
-// never cancelled): the token is threaded into the retraction replay and
-// the data-dimension chase continuation, and polled between stages. A
-// cancelled rebase reports ok=false with an interrupted chase — callers
-// on a cancellable path must check the token before falling back to a
-// from-scratch rebuild.
-func RebaseCancelTraced(res *chase.Result, gp *ground.Program, prog *program.Program,
 	newDB program.Database, added, removed []atom.AtomID, tok *cancel.Token, tr *trace.Span) (Result, bool) {
 	if res.Truncated {
 		return Result{}, false
@@ -120,7 +108,7 @@ func RebaseCancelTraced(res *chase.Result, gp *ground.Program, prog *program.Pro
 			}
 		}
 		endRetract := tr.Phase("retract")
-		next, dead := cur.RetractCancel(prog, mid, tok)
+		next, dead := cur.Retract(prog, mid, tok)
 		endRetract()
 		if next == nil || next.Interrupted {
 			return Result{}, false
@@ -141,7 +129,7 @@ func RebaseCancelTraced(res *chase.Result, gp *ground.Program, prog *program.Pro
 		}
 		firstNew := len(cur.Instances)
 		endExtend := tr.Phase("extend-db")
-		next := cur.ExtendDBCancel(prog, newDB, added, tok)
+		next := cur.ExtendDB(prog, newDB, added, tok)
 		endExtend()
 		if next == nil || next.Interrupted {
 			return Result{}, false

@@ -73,7 +73,7 @@ move(X,Y), not win(Y) -> win(X).
 	newDB = append(newDB, addedAtom)
 
 	added, removed := Diff(db, newDB)
-	reb, ok := Rebase(res, gp, prog, newDB, added, removed)
+	reb, ok := Rebase(res, gp, prog, newDB, added, removed, nil, nil)
 	if !ok {
 		t.Fatal("Rebase refused a non-truncated chase")
 	}
@@ -82,7 +82,7 @@ move(X,Y), not win(Y) -> win(X).
 		t.Fatalf("rebased chase %d/%d atoms/instances, scratch %d/%d",
 			len(reb.Chase.Atoms), len(reb.Chase.Instances), len(scratch.Atoms), len(scratch.Instances))
 	}
-	gm := ground.IncrementalModel(reb.GP, prev, reb.Seeds, ground.AlternatingFixpoint)
+	gm := ground.IncrementalModel(reb.GP, prev, reb.Seeds, ground.AlternatingFixpoint, nil, nil)
 	want := ground.AlternatingFixpoint(ground.FromChase(scratch))
 	for _, g := range scratch.Atoms {
 		if gv, wv := gm.TruthOfGlobal(g), want.TruthOfGlobal(g); gv != wv {
@@ -112,7 +112,7 @@ probe(b).
 	}
 	newDB := append(db[:len(db):len(db)], rb)
 	added, removed := Diff(db, newDB)
-	reb, ok := Rebase(res, gp, prog, newDB, added, removed)
+	reb, ok := Rebase(res, gp, prog, newDB, added, removed, nil, nil)
 	if !ok {
 		t.Fatal("Rebase refused")
 	}
@@ -128,7 +128,7 @@ probe(b).
 	if !hasFact {
 		t.Error("re-asserted IDB atom has no fact rule in the rebased grounding")
 	}
-	gm := ground.IncrementalModel(reb.GP, prev, reb.Seeds, ground.AlternatingFixpoint)
+	gm := ground.IncrementalModel(reb.GP, prev, reb.Seeds, ground.AlternatingFixpoint, nil, nil)
 	scratch := ground.AlternatingFixpoint(ground.FromChase(chase.Run(prog, newDB, copts)))
 	for _, g := range reb.Chase.Atoms {
 		if gv, wv := gm.TruthOfGlobal(g), scratch.TruthOfGlobal(g); gv != wv {
@@ -144,7 +144,7 @@ func TestRebaseRefusesTruncated(t *testing.T) {
 		t.Fatal("expected truncation")
 	}
 	a := fact(t, st, "seed", "d")
-	if _, ok := Rebase(res, ground.FromChase(res), prog, append(db, a), []atom.AtomID{a}, nil); ok {
+	if _, ok := Rebase(res, ground.FromChase(res), prog, append(db, a), []atom.AtomID{a}, nil, nil, nil); ok {
 		t.Error("Rebase accepted a truncated chase")
 	}
 }

@@ -34,7 +34,7 @@ func evaluate(t *testing.T, o *Ontology) (*core.Model, *atom.Store) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	m := core.NewEngine(prog, db, core.Options{}).Evaluate()
+	m := core.Evaluate(prog, db, core.Options{}, 0, nil, nil)
 	return m, st
 }
 
@@ -144,7 +144,7 @@ func TestDisjointnessBecomesConstraint(t *testing.T) {
 	if len(prog.Constraints) != 1 {
 		t.Fatalf("constraints = %d, want 1", len(prog.Constraints))
 	}
-	m := core.NewEngine(prog, db, core.Options{}).Evaluate()
+	m := core.Evaluate(prog, db, core.Options{}, 0, nil, nil)
 	if m.Consistent() {
 		t.Errorf("disjointness violation not detected")
 	}
@@ -160,7 +160,7 @@ func TestDisjointnessOverExistentials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := core.NewEngine(prog, db, core.Options{}).Evaluate()
+	m := core.Evaluate(prog, db, core.Options{}, 0, nil, nil)
 	if m.Consistent() {
 		t.Errorf("∃owns ⊓ Banned violation not detected")
 	}
@@ -225,7 +225,7 @@ func TestFunctionalRoleEGD(t *testing.T) {
 	if len(prog.EGDs) != 1 {
 		t.Fatalf("EGDs = %d, want 1", len(prog.EGDs))
 	}
-	m := core.NewEngine(prog, db, core.Options{}).Evaluate()
+	m := core.Evaluate(prog, db, core.Options{}, 0, nil, nil)
 	vs := m.CheckConstraints()
 	if len(vs) != 1 || vs[0].Kind != "egd" {
 		t.Errorf("functionality violation not detected: %+v", vs)
@@ -242,7 +242,7 @@ func TestFunctionalInverseRole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := core.NewEngine(prog, db, core.Options{}).Evaluate()
+	m := core.Evaluate(prog, db, core.Options{}, 0, nil, nil)
 	if len(m.CheckConstraints()) != 1 {
 		t.Errorf("inverse functionality violation not detected")
 	}

@@ -38,7 +38,7 @@ func TestExtendFromChaseKeepsLocalIDsStable(t *testing.T) {
 	gp := FromChase(res)
 
 	for _, d := range []int{5, 8} {
-		res = res.Extend(prog, d)
+		res, _ = res.Extend(prog, d, nil)
 		next := ExtendFromChase(gp, res)
 
 		// Local IDs of the previous grounding survive.
@@ -88,7 +88,8 @@ func TestExtendFromChaseDoesNotAliasPrevIndexes(t *testing.T) {
 		posBefore[i] = len(gp.posOcc[i])
 	}
 
-	ext := ExtendFromChase(gp, res.Extend(prog, 6))
+	deeper, _ := res.Extend(prog, 6, nil)
+	ext := ExtendFromChase(gp, deeper)
 	if len(ext.Rules) <= len(gp.Rules) {
 		t.Fatal("extension added no rules; test is vacuous")
 	}

@@ -57,24 +57,14 @@ const cancelPollEvery = 256
 // programs are not chase-grounded (no global ID space to align on), or
 // when the affected cone covers most of the program and solving the
 // subprogram would cost as much as solving everything.
-func IncrementalModel(gp *Program, prev *Model, seeds []atom.AtomID, solve func(*Program) *Model) *Model {
-	return IncrementalModelTraced(gp, prev, seeds, solve, nil)
-}
-
-// IncrementalModelTraced is IncrementalModel with observability: cone
-// sizes (seeds, affected atoms, universe, subprogram rules) as counters
-// on tr and the affected-cone solve as a cone-solve child span. tr nil
-// degrades to the plain warm start.
-func IncrementalModelTraced(gp *Program, prev *Model, seeds []atom.AtomID, solve func(*Program) *Model, tr *trace.Span) *Model {
-	return IncrementalModelCancelTraced(gp, prev, seeds, solve, nil, tr)
-}
-
-// IncrementalModelCancelTraced is IncrementalModelTraced under a
-// cancellation token (nil = never cancelled): the cone closure polls the
-// token per popped component, and an interrupted cone solve (the solve
-// closure is expected to carry the same token) propagates Interrupted to
-// the merged model.
-func IncrementalModelCancelTraced(gp *Program, prev *Model, seeds []atom.AtomID, solve func(*Program) *Model, tok *cancel.Token, tr *trace.Span) *Model {
+//
+// Cone sizes (seeds, affected atoms, universe, subprogram rules) become
+// counters on tr and the affected-cone solve a cone-solve child span. tok
+// (nil = never cancelled) is polled during the cone closure, and an
+// interrupted cone solve (the solve closure is expected to carry the
+// same token) propagates Interrupted to the merged model. tr and tok may
+// each be nil.
+func IncrementalModel(gp *Program, prev *Model, seeds []atom.AtomID, solve func(*Program) *Model, tok *cancel.Token, tr *trace.Span) *Model {
 	tr.SetCount("seeds", int64(len(seeds)))
 	if prev == nil || prev.Prog == nil || gp.Atoms == nil || prev.Prog.Atoms == nil {
 		end := tr.Phase("cold-solve")

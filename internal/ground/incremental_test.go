@@ -61,14 +61,14 @@ move(X,Y), not win(Y) -> win(X).
 
 			added := internFact(t, st, "move", "c", "a")
 			db2 := append(db, added)
-			res2 := res.ExtendDB(prog, db2, []atom.AtomID{added})
+			res2 := res.ExtendDB(prog, db2, []atom.AtomID{added}, nil)
 			gp2 := ExtendFromChase(gp, res2)
 
 			seeds := []atom.AtomID{added}
 			for i := len(res.Instances); i < len(res2.Instances); i++ {
 				seeds = append(seeds, res2.Instances[i].Head)
 			}
-			got := IncrementalModel(gp2, prev, seeds, solve)
+			got := IncrementalModel(gp2, prev, seeds, solve, nil, nil)
 			want := solve(gp2)
 			checkSameTruth(t, st, got, want)
 		})
@@ -98,14 +98,14 @@ p(X), not q(X) -> q2(X).
 					db2 = append(db2, f)
 				}
 			}
-			res2, dead := res.Retract(prog, db2)
+			res2, dead := res.Retract(prog, db2, nil)
 			gp2 := FromChase(res2)
 
 			seeds := []atom.AtomID{removed}
 			for _, ci := range dead {
 				seeds = append(seeds, res.Instances[ci].Head)
 			}
-			got := IncrementalModel(gp2, prev, seeds, solve)
+			got := IncrementalModel(gp2, prev, seeds, solve, nil, nil)
 			want := solve(gp2)
 			checkSameTruth(t, st, got, want)
 		})
@@ -119,7 +119,7 @@ func TestIncrementalModelEmptySeeds(t *testing.T) {
 	res := chase.Run(prog, db, chase.Options{MaxDepth: 5, MaxAtoms: 10_000})
 	gp := FromChase(res)
 	prev := AlternatingFixpoint(gp)
-	got := IncrementalModel(gp, prev, nil, AlternatingFixpoint)
+	got := IncrementalModel(gp, prev, nil, AlternatingFixpoint, nil, nil)
 	checkSameTruth(t, st, got, prev)
 }
 
@@ -142,13 +142,13 @@ base(X), extra(X), not win(a) -> c(X).
 
 			added := internFact(t, st, "extra", "z")
 			db2 := append(db, added)
-			res2 := res.ExtendDB(prog, db2, []atom.AtomID{added})
+			res2 := res.ExtendDB(prog, db2, []atom.AtomID{added}, nil)
 			gp2 := ExtendFromChase(gp, res2)
 			seeds := []atom.AtomID{added}
 			for i := len(res.Instances); i < len(res2.Instances); i++ {
 				seeds = append(seeds, res2.Instances[i].Head)
 			}
-			got := IncrementalModel(gp2, prev, seeds, solve)
+			got := IncrementalModel(gp2, prev, seeds, solve, nil, nil)
 			want := solve(gp2)
 			checkSameTruth(t, st, got, want)
 			c := internFact(t, st, "c", "z")

@@ -54,10 +54,6 @@ import (
 // the size of the request.
 const maxParallelism = 256
 
-func SolveModular(p *Program, solve func(*Program) *Model, parallelism int) *Model {
-	return SolveModularTraced(p, solve, parallelism, nil)
-}
-
 // topSlowestSCCs bounds how many per-component timings a detailed trace
 // keeps: real condensations have tens of thousands of components, and
 // only the slowest few explain where the solve went.
@@ -114,21 +110,17 @@ func timedSolveComp(p *Program, cond *Condensation, ci int32,
 	return rounds
 }
 
-// SolveModularTraced is SolveModular with observability: a condense child
-// span, SCC-shape counters on tr, and — only when tr is Detailed — the
-// top-k slowest components attached as child spans. tr nil degrades to
-// the plain solve.
-func SolveModularTraced(p *Program, solve func(*Program) *Model, parallelism int, tr *trace.Span) *Model {
-	return SolveModularCancelTraced(p, solve, parallelism, nil, tr)
-}
-
-// SolveModularCancelTraced is SolveModularTraced under a cancellation
-// token (nil = never cancelled). The token is polled at component
-// granularity — the sequential loop, each worker's claim loop, and the
-// level barrier — so a cancel stops the solve within one component's
-// work; a stopped solve returns with Interrupted set and a partial truth
-// assignment that callers must discard.
-func SolveModularCancelTraced(p *Program, solve func(*Program) *Model, parallelism int, tok *cancel.Token, tr *trace.Span) *Model {
+// SolveModular evaluates p component by component (see the file
+// comment), handing negation-cyclic components to solve and running up to
+// parallelism independent components concurrently (<= 0 selects
+// GOMAXPROCS). tr receives a condense child span and SCC-shape counters
+// and — only when tr is Detailed — the top-k slowest components as child
+// spans. tok (nil = never cancelled) is polled at component granularity
+// — the sequential loop, each worker's claim loop, and the level barrier
+// — so a cancel stops the solve within one component's work; a stopped
+// solve returns with Interrupted set and a partial truth assignment that
+// callers must discard. tr and tok may each be nil.
+func SolveModular(p *Program, solve func(*Program) *Model, parallelism int, tok *cancel.Token, tr *trace.Span) *Model {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}

@@ -68,7 +68,7 @@ func TestCondenseCycleIsOneHardComponent(t *testing.T) {
 	if c.Comp[0] != c.Comp[1] || c.Comp[1] != c.Comp[2] {
 		t.Errorf("cycle atoms in distinct components: %v", c.Comp[:3])
 	}
-	m := SolveModular(p, AlternatingFixpoint, 1)
+	m := SolveModular(p, AlternatingFixpoint, 1, nil, nil)
 	for a := int32(0); a < 3; a++ {
 		if m.Truth[a] != Undefined {
 			t.Errorf("win atom %d = %v, want undefined", a, m.Truth[a])
@@ -117,13 +117,13 @@ func TestModularUndefinedBoundary(t *testing.T) {
 	for name, algo := range fourAlgorithms {
 		want := algo(p)
 		for _, par := range []int{1, 4} {
-			got := SolveModular(p, algo, par)
+			got := SolveModular(p, algo, par, nil, nil)
 			if !got.Equal(want) {
 				t.Errorf("%s par=%d:\n got %v\nwant %v", name, par, got, want)
 			}
 		}
 	}
-	m := SolveModular(p, AlternatingFixpoint, 1)
+	m := SolveModular(p, AlternatingFixpoint, 1, nil, nil)
 	for a, want := range []Truth{Undefined, Undefined, Undefined, Undefined, Undefined, Undefined, True, True} {
 		if m.Truth[a] != want {
 			t.Errorf("atom %d = %v, want %v", a, m.Truth[a], want)
@@ -143,7 +143,7 @@ func TestModularEquivGlobalRandom(t *testing.T) {
 		want := AlternatingFixpoint(p)
 		for name, algo := range fourAlgorithms {
 			for _, par := range []int{1, 3} {
-				got := SolveModular(p, algo, par)
+				got := SolveModular(p, algo, par, nil, nil)
 				if !got.Equal(want) {
 					t.Logf("seed %d %s par=%d:\n got %v\nwant %v", seed, name, par, got, want)
 					return false
@@ -181,7 +181,7 @@ func TestModularManyComponentsParallel(t *testing.T) {
 	p := New(n, rules)
 	want := AlternatingFixpoint(p)
 	for _, par := range []int{1, 2, 8} {
-		got := SolveModular(p, AlternatingFixpoint, par)
+		got := SolveModular(p, AlternatingFixpoint, par, nil, nil)
 		if !got.Equal(want) {
 			t.Fatalf("par=%d diverges from global solve", par)
 		}
@@ -192,12 +192,12 @@ func TestModularManyComponentsParallel(t *testing.T) {
 			t.Errorf("par=%d hard SCCs = %d, want %d", par, got.HardSCCs, k)
 		}
 	}
-	if got := SolveModular(p, AlternatingFixpoint, 8); got.Workers < 2 {
+	if got := SolveModular(p, AlternatingFixpoint, 8, nil, nil); got.Workers < 2 {
 		t.Errorf("workers = %d, want ≥ 2 with parallelism 8", got.Workers)
 	}
 	// An absurd (client-reachable) parallelism request is clamped, not
 	// allocated: the solve must succeed with a bounded pool.
-	if got := SolveModular(p, AlternatingFixpoint, 1<<30); !got.Equal(want) || got.Workers > maxParallelism {
+	if got := SolveModular(p, AlternatingFixpoint, 1<<30, nil, nil); !got.Equal(want) || got.Workers > maxParallelism {
 		t.Errorf("clamped solve diverged or overspawned: workers = %d", got.Workers)
 	}
 }
@@ -209,7 +209,7 @@ func TestModularSingleComponentFallback(t *testing.T) {
 		Rule{Head: 0, Neg: []int32{1}},
 		Rule{Head: 1, Neg: []int32{0}},
 	)
-	m := SolveModular(p, AlternatingFixpoint, 4)
+	m := SolveModular(p, AlternatingFixpoint, 4, nil, nil)
 	if m.SCCs != 1 || m.Workers != 1 {
 		t.Errorf("SCCs=%d Workers=%d, want 1 and 1", m.SCCs, m.Workers)
 	}
@@ -221,10 +221,10 @@ func TestModularSingleComponentFallback(t *testing.T) {
 // TestModularEmptyAndRulelessAtoms: degenerate shapes must not crash and
 // must leave rule-less atoms false.
 func TestModularEmptyAndRulelessAtoms(t *testing.T) {
-	if m := SolveModular(New(0, nil), AlternatingFixpoint, 2); len(m.Truth) != 0 {
+	if m := SolveModular(New(0, nil), AlternatingFixpoint, 2, nil, nil); len(m.Truth) != 0 {
 		t.Errorf("empty program produced truths: %v", m.Truth)
 	}
-	m := SolveModular(New(3, []Rule{{Head: 1}}), AlternatingFixpoint, 2)
+	m := SolveModular(New(3, []Rule{{Head: 1}}), AlternatingFixpoint, 2, nil, nil)
 	for a, want := range []Truth{False, True, False} {
 		if m.Truth[a] != want {
 			t.Errorf("atom %d = %v, want %v", a, m.Truth[a], want)
@@ -246,7 +246,7 @@ func TestModularRoundsGrowWithChainLength(t *testing.T) {
 	}
 	prev := 0
 	for _, l := range []int{4, 16, 64} {
-		m := SolveModular(build(l), AlternatingFixpoint, 1)
+		m := SolveModular(build(l), AlternatingFixpoint, 1, nil, nil)
 		if m.Rounds <= prev {
 			t.Fatalf("rounds did not grow: %d at length %d (prev %d)", m.Rounds, l, prev)
 		}
@@ -285,7 +285,7 @@ func TestIncrementalUsesCondensation(t *testing.T) {
 	prev := AlternatingFixpoint(mkChain(false))
 	prevM := &Model{Prog: mkChain(false), Truth: prev.Truth}
 	gp := mkChain(true)
-	got := IncrementalModel(gp, prevM, []atom.AtomID{seed}, AlternatingFixpoint)
+	got := IncrementalModel(gp, prevM, []atom.AtomID{seed}, AlternatingFixpoint, nil, nil)
 	want := AlternatingFixpoint(gp)
 	for i := range want.Truth {
 		if got.Truth[i] != want.Truth[i] {

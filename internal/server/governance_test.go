@@ -162,6 +162,7 @@ func TestBudgetExceeded422(t *testing.T) {
 	c := newTestClient(t, Config{})
 	opts := endlessOptions()
 	opts.MaxAtoms = 40
+	opts.Depth = 64 // the configured-depth model /select reads hits the valve too
 	code := c.do("POST", "/v1/sessions",
 		CreateSessionRequest{Name: "e", Program: endlessChain, Options: opts}, nil)
 	if code != http.StatusCreated {
@@ -182,6 +183,17 @@ func TestBudgetExceeded422(t *testing.T) {
 	}
 	if !strings.Contains(errResp.Error, "budget") && !strings.Contains(errResp.Error, "atom") {
 		t.Errorf("error body %q does not describe the budget", errResp.Error)
+	}
+
+	// /select answers from the configured-depth model, whose chase the
+	// same valve truncated: it must refuse the same way rather than serve
+	// a partial relation with 200.
+	var selResp ErrorResponse
+	if code := c.do("POST", "/v1/sessions/e/select", QueryRequest{Query: "? w(X)."}, &selResp); code != http.StatusUnprocessableEntity {
+		t.Fatalf("budget select: status %d, want 422", code)
+	}
+	if selResp.Budget == nil || selResp.Budget.Limit != 40 || selResp.Budget.Atoms <= 0 {
+		t.Errorf("select 422 body budget block = %+v, want limit 40 and atoms > 0", selResp.Budget)
 	}
 }
 

@@ -279,23 +279,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	ht := requestTrace(r)
 	v, cached, err := s.cachedQuery(sess, "answer", norm, func(snap *wfs.Snapshot) (any, error) {
-		if s.cfg.SlowQueryThreshold <= 0 && s.recorder == nil {
-			ans, stats, err := snap.AnswerCtxStats(ctx, q)
-			if err != nil {
-				return nil, err
-			}
-			return QueryResponse{Query: norm, Answer: ans.String(), Stats: answerStatsDTO(stats)}, nil
-		}
 		// Slow-query logging or the flight recorder armed: run every
 		// uncached compute under a coarse span hung off the request's
 		// root, so a threshold breach can log where the time went and a
 		// retained trace shows the evaluation, not a blank. Coarse
 		// tracing skips the per-SCC and per-depth detail, so its cost
 		// is a handful of span allocations per build — noise next to an
-		// actual build.
-		qspan := ht.span().Child("query")
-		if qspan == nil {
-			qspan = trace.New("query")
+		// actual build. Otherwise the span stays nil and the answer may
+		// take the snapshot's untraced warm-exact fast path.
+		var qspan *trace.Span
+		if s.cfg.SlowQueryThreshold > 0 || s.recorder != nil {
+			qspan = ht.span().Child("query")
+			if qspan == nil {
+				qspan = trace.New("query")
+			}
 		}
 		start := time.Now()
 		ans, stats, err := snap.AnswerCtxTraced(ctx, q, qspan)
@@ -452,7 +449,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return SelectResponse{Query: norm, Vars: vars, Tuples: tuples}, nil
 	})
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		writeError(w, r, s.queryStatus(err), err)
 		return
 	}
 	resp := v.(SelectResponse)

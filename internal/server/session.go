@@ -241,7 +241,7 @@ func (r *Registry) CreateTraced(name, src string, opts wfs.Options, tr *trace.Sp
 // background probe sees the disk heal (see readonly.go).
 func (r *Registry) attachWAL(sess *Session) {
 	sess.breaker = r.newBreaker()
-	sess.Sys.SetCommitHookTraced(func(epoch uint64, adds, retracts []wfs.FactRef, tr *trace.Span) error {
+	sess.Sys.SetCommitHook(func(epoch uint64, adds, retracts []wfs.FactRef, tr *trace.Span) error {
 		if sess.breaker.isOpen() {
 			return &ErrWALUnavailable{Name: sess.Name, ReadOnly: true}
 		}

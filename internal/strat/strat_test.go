@@ -71,7 +71,7 @@ func TestCoincidesWithWFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wm := core.NewEngine(prog, db, core.Options{}).Evaluate()
+	wm := core.Evaluate(prog, db, core.Options{}, 0, nil, nil)
 	for i, g := range wm.GP.Atoms {
 		if wm.GM.Truth[i] != sm.GM.TruthOfGlobal(g) {
 			t.Errorf("disagreement on %s: wfs=%v strat=%v",
@@ -93,7 +93,7 @@ person(X), not vip(X) -> standard(X).
 	if err != nil {
 		t.Fatal(err)
 	}
-	wm := core.NewEngine(prog, db, core.Options{}).Evaluate()
+	wm := core.Evaluate(prog, db, core.Options{}, 0, nil, nil)
 	if !wm.Exact || !sm.Exact {
 		t.Fatalf("chase should saturate here")
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	wfs "repro"
+	"repro/internal/trace"
 )
 
 // benchSystem loads a small win-move program and returns it plus a
@@ -61,7 +62,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sys.SetCommitHook(func(e uint64, adds, retracts []wfs.FactRef) error {
+			sys.SetCommitHook(func(e uint64, adds, retracts []wfs.FactRef, _ *trace.Span) error {
 				return l.Append(e, adds, retracts)
 			})
 			b.ResetTimer()
@@ -95,7 +96,7 @@ func BenchmarkRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sys.SetCommitHook(func(e uint64, adds, retracts []wfs.FactRef) error {
+		sys.SetCommitHook(func(e uint64, adds, retracts []wfs.FactRef, _ *trace.Span) error {
 			return l.Append(e, adds, retracts)
 		})
 		return man, sys, l

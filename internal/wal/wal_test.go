@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	wfs "repro"
+	"repro/internal/trace"
 )
 
 // winMove is a program with true, false, and undefined atoms, so the
@@ -37,7 +38,7 @@ func openLogged(t *testing.T, dir string, opts Options, name, src string) (*Mana
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	sys.SetCommitHook(func(e uint64, adds, retracts []wfs.FactRef) error {
+	sys.SetCommitHook(func(e uint64, adds, retracts []wfs.FactRef, _ *trace.Span) error {
 		return l.Append(e, adds, retracts)
 	})
 	return man, sys, l
@@ -306,7 +307,7 @@ func TestCrashTruncationSweep(t *testing.T) {
 			}
 		}
 		// The reopened log accepts the next contiguous epoch.
-		rec.Sys.SetCommitHook(func(e uint64, adds, retracts []wfs.FactRef) error {
+		rec.Sys.SetCommitHook(func(e uint64, adds, retracts []wfs.FactRef, _ *trace.Span) error {
 			return rec.Log.Append(e, adds, retracts)
 		})
 		if err := rec.Sys.AddFact("p", "post"); err != nil {

@@ -14,11 +14,13 @@
 #      against /snapshot from the SAME run. More than 5% over fails;
 #      this is the recorder-enabled budget and is machine-independent.
 #   3. Differential: /cancelcheck (the same path answered through
-#      AnswerCtx under a cancellable context — the server's actual
-#      steady state, with the cooperative-cancellation polling compiled
-#      in) against /snapshot from the SAME run. More than 5% over
-#      fails; this is the resource-governance budget. In practice the
-#      warm-exact fast path makes this come in at or below /snapshot.
+#      AnswerCtxTraced(ctx, q, nil) under a cancellable context — the
+#      server's actual steady state, with the cooperative-cancellation
+#      polling compiled in) against /snapshot (Answer, the same call
+#      under context.Background) from the SAME run. More than 5% over
+#      fails; this is the resource-governance budget. Both take the
+#      warm-exact fast path, so the difference is the up-front context
+#      poll.
 #
 # The absolute baseline is machine-specific; CI runner classes close to
 # the recorded CPU make that comparison meaningful, and the 15% slack

@@ -142,18 +142,17 @@ func (sm *snapModel) get(s *Snapshot, tok *cancel.Token, tr *trace.Span) (*core.
 			return nil, err
 		}
 		ost := atom.NewOverlay(pm.Chase.Prog.Store)
-		m = core.ExtendModelCancelTraced(pm, s.prog.WithStore(ost), s.opts, sm.depth, tok, build)
+		m = core.ExtendModel(pm, s.prog.WithStore(ost), s.opts, sm.depth, tok, build)
 		ost.Freeze()
 	} else {
 		ost := atom.NewOverlay(s.store)
-		eng := core.NewEngine(s.prog.WithStore(ost), s.db, s.opts)
-		m = eng.EvaluateAtDepthCancelTraced(sm.depth, tok, build)
+		m = core.Evaluate(s.prog.WithStore(ost), s.db, s.opts, sm.depth, tok, build)
 		ost.Freeze()
 	}
 	if m.Interrupted {
 		build.MarkCancelled()
 		build.End()
-		return nil, cancelErr(tok)
+		return nil, tok.Reason()
 	}
 	endPre := build.Phase("precompute")
 	m.Precompute()
@@ -193,22 +192,11 @@ func (sm *snapModel) rebase(s *Snapshot, tok *cancel.Token, tr *trace.Span) *cor
 		if !ok {
 			return nil
 		}
-		m := core.RebaseModelCancelTraced(pm, s.prog.WithStore(ost), s.opts, sm.depth, db, tok, tr)
+		m := core.RebaseModel(pm, s.prog.WithStore(ost), s.opts, sm.depth, db, tok, tr)
 		ost.Freeze()
 		return m
 	}
 	return nil
-}
-
-// cancelErr is the error a cancelled evaluation surfaces: the token's
-// recorded cause (context.DeadlineExceeded for a blown deadline,
-// context.Canceled for a disconnect or manual cancel), falling back to
-// context.Canceled when an interrupted model arrives without a cause.
-func cancelErr(tok *cancel.Token) error {
-	if err := tok.Err(); err != nil {
-		return err
-	}
-	return context.Canceled
 }
 
 // translateDB maps the snapshot's database — interned in the current
@@ -344,16 +332,16 @@ func queryWithin(cq *program.Query, maxPred, maxTerm int) bool {
 	return within(cq.Pos) && within(cq.Neg)
 }
 
-// answerLadder runs the adaptive ladder over the snapshot's cached
-// rungs: the same deepening/stability algorithm as Engine.Answer, but
-// each depth resolves to a model built at most once per snapshot.
+// answerLadder runs the adaptive ladder (core.AdaptiveAnswer) over the
+// snapshot's cached rungs: each depth resolves to a model built at most
+// once per snapshot.
 // compile resolves the query against each rung's ID space; tr (nil on
 // the hot path) records the per-depth phase breakdown.
 func (s *Snapshot) answerLadder(compile func(*core.Model) (*program.Query, error), tok *cancel.Token, tr *trace.Span) (Truth, *core.AnswerStats, error) {
 	modelAt := func(depth int, tr *trace.Span) (*core.Model, error) {
 		return s.rungAt(depth, tok, tr)
 	}
-	return core.AdaptiveAnswerCancelTraced(s.opts, modelAt, compile, tok, tr)
+	return core.AdaptiveAnswer(s.opts, modelAt, compile, tok, tr)
 }
 
 // rungAt returns (building if necessary) the ladder model at the given
@@ -377,28 +365,10 @@ func (s *Snapshot) rungAt(depth int, tok *cancel.Token, tr *trace.Span) (*core.M
 }
 
 // Answer evaluates a prepared NBCQ by adaptive deepening and returns the
-// three-valued answer. Safe for unlimited concurrent callers.
+// three-valued answer: AnswerCtxTraced with no deadline and no trace.
+// Safe for unlimited concurrent callers.
 func (s *Snapshot) Answer(q *Query) (Truth, error) {
-	t, _, err := s.AnswerWithStats(q)
-	return t, err
-}
-
-// AnswerWithStats is Answer returning the adaptive-deepening trace.
-func (s *Snapshot) AnswerWithStats(q *Query) (Truth, *core.AnswerStats, error) {
-	return s.answerLadder(func(m *core.Model) (*program.Query, error) {
-		return s.compileFor(q, m)
-	}, nil, nil)
-}
-
-// AnswerCtx is Answer under a context: the evaluation polls ctx's
-// cancellation cooperatively (every ~1024 chase steps, every SCC of the
-// fixpoint, every rung of the ladder) and returns ctx's error —
-// context.DeadlineExceeded or context.Canceled — when it fires. A
-// cancelled build installs nothing: the rung stays cold and later
-// callers rebuild it. An uncancellable ctx (context.Background) costs
-// one nil check per poll point.
-func (s *Snapshot) AnswerCtx(ctx context.Context, q *Query) (Truth, error) {
-	t, _, err := s.AnswerCtxStats(ctx, q)
+	t, _, err := s.AnswerCtxTraced(context.Background(), q, nil)
 	return t, err
 }
 
@@ -439,16 +409,36 @@ func (s *Snapshot) answerWarmExact(q *Query) (Truth, *core.AnswerStats, bool) {
 	}, true
 }
 
-// AnswerCtxStats is AnswerCtx returning the adaptive-deepening stats.
-// On cancellation the stats of the rungs that completed before the
-// deadline are returned alongside the error, so callers opting into
-// graceful degradation can serve the deepest completed rung's answer
-// (marked inexact) instead of nothing.
-func (s *Snapshot) AnswerCtxStats(ctx context.Context, q *Query) (Truth, *core.AnswerStats, error) {
+// AnswerCtxTraced evaluates a prepared NBCQ by adaptive deepening under
+// a context, returning the three-valued answer and the ladder's stats.
+// Safe for unlimited concurrent callers.
+//
+// The evaluation polls ctx's cancellation cooperatively (every ~1024
+// chase steps, every SCC of the fixpoint, every few rungs of the ladder)
+// and returns ctx's error — context.DeadlineExceeded or context.Canceled
+// — when it fires. A cancelled build installs nothing: the rung stays
+// cold and later callers rebuild it. On cancellation the stats of the
+// rungs that completed before the deadline are returned alongside the
+// error, so callers opting into graceful degradation can serve the
+// deepest completed rung's answer (marked inexact) instead of nothing.
+// An uncancellable ctx (context.Background) costs one nil check per
+// poll point.
+//
+// root, when non-nil, is the caller's already-open span — the server's
+// request-scoped tracing path, where the root belongs to the HTTP
+// request rather than to this evaluation: the ladder records its phase
+// tree under a "ladder" child, at the instrumentation level of root's
+// detail flag. Rungs already materialized on this snapshot appear as
+// match-only depth spans; a first traced query after a write shows the
+// full rebase/build cost it actually paid. Spans cut short by
+// cancellation carry a "cancelled" counter.
+func (s *Snapshot) AnswerCtxTraced(ctx context.Context, q *Query, root *trace.Span) (Truth, *core.AnswerStats, error) {
 	// One lock-free poll up front keeps the contract that an
 	// already-cancelled context never starts an evaluation, then the
-	// warm-exact fast path answers without acquiring a token at all —
-	// a warm exact answer cannot outlive any deadline worth setting.
+	// untraced warm-exact fast path answers without acquiring a token at
+	// all — a warm exact answer cannot outlive any deadline worth
+	// setting. A traced call takes the full ladder so its span tree shows
+	// the rung it answered from.
 	if done := ctx.Done(); done != nil {
 		select {
 		case <-done:
@@ -460,59 +450,23 @@ func (s *Snapshot) AnswerCtxStats(ctx context.Context, q *Query) (Truth, *core.A
 		default:
 		}
 	}
-	if t, st, ok := s.answerWarmExact(q); ok {
-		return t, st, nil
+	if root == nil {
+		if t, st, ok := s.answerWarmExact(q); ok {
+			return t, st, nil
+		}
 	}
 	tok := cancel.For(ctx)
+	ladder := root.Child("ladder")
 	t, st, err := s.answerLadder(func(m *core.Model) (*program.Query, error) {
 		return s.compileFor(q, m)
-	}, tok, nil)
+	}, tok, ladder)
+	ladder.End()
 	// The ladder has returned: every rung build ran synchronously under
 	// its rung lock and every solver worker was joined, so nothing can
 	// still poll the token — recycle it (it is a measurable share of the
 	// warm answer path's cost).
 	tok.Release()
 	return t, st, err
-}
-
-// AnswerCtxTraced is AnswerCtx recording the evaluation's phase tree
-// under the caller's already-open span (see AnswerTraced). Spans cut
-// short by cancellation carry a "cancelled" counter.
-func (s *Snapshot) AnswerCtxTraced(ctx context.Context, q *Query, root *trace.Span) (Truth, *core.AnswerStats, error) {
-	tok := cancel.For(ctx)
-	t, st, err := s.answerCancelTraced(q, tok, root)
-	tok.Release() // see AnswerCtxStats: no reference survives the ladder
-	return t, st, err
-}
-
-// TraceAnswer is Answer recording a detailed evaluation trace (see
-// System.TraceAnswer). Rungs already materialized on this snapshot
-// appear as match-only depth spans; a first traced query after a write
-// shows the full rebase/build cost it actually paid.
-func (s *Snapshot) TraceAnswer(q *Query) (Truth, *core.AnswerStats, *trace.EvalTrace, error) {
-	return s.TraceAnswerDetail(q, true)
-}
-
-// TraceAnswerDetail is TraceAnswer with the instrumentation level under
-// caller control: detailed=false records only the coarse phase tree (no
-// per-SCC timings, no per-depth frontier profile), cheap enough to run
-// on every uncached query for threshold-gated slow-query logging.
-func (s *Snapshot) TraceAnswerDetail(q *Query, detailed bool) (Truth, *core.AnswerStats, *trace.EvalTrace, error) {
-	root := trace.New("query")
-	if detailed {
-		root = trace.NewDetailed("query")
-	}
-	t, st, err := s.answerTraced(q, root)
-	return t, st, root.Trace(), err
-}
-
-// AnswerTraced is Answer recording the evaluation's phase tree under
-// the caller's already-open span — the server's request-scoped tracing
-// path, where the root span belongs to the HTTP request rather than to
-// this evaluation. The instrumentation level follows the span's detail
-// flag; a nil span is AnswerWithStats.
-func (s *Snapshot) AnswerTraced(q *Query, root *trace.Span) (Truth, *core.AnswerStats, error) {
-	return s.answerTraced(q, root)
 }
 
 // WarmRebased eagerly materializes the base model and every ladder rung
@@ -530,23 +484,6 @@ func (s *Snapshot) WarmRebased(tr *trace.Span) {
 			sm.get(s, nil, tr)
 		}
 	}
-}
-
-// answerTraced runs the traced ladder under an already-open root span
-// (shared with System.TraceAnswer, whose root also covers parse and
-// snapshot acquisition).
-func (s *Snapshot) answerTraced(q *Query, root *trace.Span) (Truth, *core.AnswerStats, error) {
-	return s.answerCancelTraced(q, nil, root)
-}
-
-// answerCancelTraced is answerTraced under a cancellation token.
-func (s *Snapshot) answerCancelTraced(q *Query, tok *cancel.Token, root *trace.Span) (Truth, *core.AnswerStats, error) {
-	ladder := root.Child("ladder")
-	t, st, err := s.answerLadder(func(m *core.Model) (*program.Query, error) {
-		return s.compileFor(q, m)
-	}, tok, ladder)
-	ladder.End()
-	return t, st, err
 }
 
 // answerCompiled runs the ladder for a query compiled at load time against
@@ -573,9 +510,14 @@ func (s *Snapshot) AnswerAll() []QueryResult {
 // tuples of constant names in the query's variable order (§2.1: answers
 // are tuples over ∆, so bindings to labelled nulls are excluded). The
 // first return lists the variable names. Selection runs against the model
-// at the configured depth.
+// at the configured depth; when the MaxAtoms valve truncated that model's
+// chase, Select returns *ErrBudgetExceeded like the ladder does instead
+// of answering from a partial universe.
 func (s *Snapshot) Select(q *Query) ([]string, [][]string, error) {
 	m, _ := s.base.get(s, nil, nil)
+	if err := m.Chase.BudgetErr(); err != nil {
+		return nil, nil, err
+	}
 	cq, err := s.compileFor(q, m)
 	if err != nil {
 		return nil, nil, err

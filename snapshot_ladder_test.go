@@ -1,6 +1,7 @@
 package wfs
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -37,7 +38,7 @@ func TestSnapshotLadderAnswersNonSaturating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, stats, err := snap.AnswerWithStats(q)
+	ans, stats, err := snap.AnswerCtxTraced(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestSnapshotRungsMatchFromScratch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rungAt(%d): %v", d, err)
 		}
-		scratch := core.NewEngine(sys.prog, sys.db, opts).EvaluateAtDepth(d)
+		scratch := core.Evaluate(sys.prog, sys.db, opts, d, nil, nil)
 		if got, want := renderTruths(rm), renderTruths(scratch); got != want {
 			t.Errorf("depth %d: rung model differs from from-scratch model:\nrung:    %s\nscratch: %s",
 				d, got, want)

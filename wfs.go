@@ -50,14 +50,9 @@
 // — snapshot. The System's string convenience methods (Answer, Select,
 // TruthOf, …) are implemented as "grab current snapshot, run read" and
 // remain safe for concurrent use.
-//
-// The Engine and Model accessors hand out live internal state bound to the
-// system's own mutable store and are intended for single-goroutine use
-// only (tools, tests, benchmarks).
 package wfs
 
 import (
-	"context"
 	"fmt"
 	"math/big"
 	"sync"
@@ -121,12 +116,10 @@ type System struct {
 	// mu serializes mutations (AddFact, LoadCSV) and snapshot
 	// construction; snapshot readers only take the write side when the
 	// snapshot must be rebuilt after a write, and cheap metadata
-	// accessors (Epoch, NumFacts, …) take the read side. The legacy
-	// Engine/Model accessors also build under the write side.
-	mu     sync.RWMutex
-	epoch  uint64
-	engine *core.Engine
-	snap   atomic.Pointer[Snapshot]
+	// accessors (Epoch, NumFacts, …) take the read side.
+	mu    sync.RWMutex
+	epoch uint64
+	snap  atomic.Pointer[Snapshot]
 
 	// prevSnap stages the last published snapshot across a mutation so
 	// the next Snapshot call can rebase its evaluated rungs onto the
@@ -139,9 +132,8 @@ type System struct {
 
 	// commitHook, when set, observes every validated mutation batch
 	// immediately before it commits and may veto it (see CommitHook —
-	// the write-ahead-log integration point). Stored in traced form;
-	// SetCommitHook wraps untraced hooks.
-	commitHook CommitHookTraced
+	// the write-ahead-log integration point).
+	commitHook CommitHook
 }
 
 // Load parses and compiles a source unit (facts, rules, constraints, EGDs,
@@ -274,13 +266,12 @@ func (s *System) NumQueries() int { return len(s.queries) }
 func (s *System) AddFact(pred string, args ...string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyLocked([]factSpec{{pred: pred, args: args}}, nil, nil)
+	return s.applyLocked([]factSpec{{pred: pred, args: args}}, nil, nil, nil)
 }
 
 // invalidateLocked unpublishes the current snapshot after a database
 // mutation, staging it for delta rebasing by the next Snapshot call, and
-// bumps the epoch. The legacy engine is not dropped — applyLocked rebases
-// it. Callers must hold mu.
+// bumps the epoch. Callers must hold mu.
 func (s *System) invalidateLocked() {
 	if snap := s.snap.Load(); snap != nil {
 		s.prevSnap = snap
@@ -289,39 +280,11 @@ func (s *System) invalidateLocked() {
 	s.epoch++
 }
 
-// engineLocked returns (building if necessary) the legacy evaluation
-// engine over the system's live store. Callers must hold mu.
-func (s *System) engineLocked() *core.Engine {
-	if s.engine == nil {
-		s.engine = core.NewEngine(s.prog, s.db, s.opts)
-	}
-	return s.engine
-}
-
 // snapshot is Snapshot for internal read paths; the error is currently
 // always nil but kept on the public method for forward compatibility.
 func (s *System) snapshot() *Snapshot {
 	snap, _ := s.Snapshot()
 	return snap
-}
-
-// Engine returns (building if necessary) an evaluation engine over the
-// system's live store. The returned engine is live internal state: it must
-// not be used concurrently with other System methods. Prefer Snapshot for
-// anything concurrent.
-func (s *System) Engine() *core.Engine {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engineLocked()
-}
-
-// Model evaluates (and caches) the well-founded model at the configured
-// depth over the live store. Like Engine, the returned model must not be
-// used concurrently with other System methods.
-func (s *System) Model() *core.Model {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engineLocked().Evaluate()
 }
 
 // Answer parses an NBCQ (with or without leading '?') and answers it via
@@ -334,48 +297,6 @@ func (s *System) Answer(query string) (Truth, error) {
 		return False, err
 	}
 	return s.snapshot().Answer(q)
-}
-
-// AnswerCtx is Answer under a context: evaluation polls ctx
-// cooperatively and returns its error (context.DeadlineExceeded or
-// context.Canceled) when it fires — see Snapshot.AnswerCtx.
-func (s *System) AnswerCtx(ctx context.Context, query string) (Truth, error) {
-	q, err := Prepare(query)
-	if err != nil {
-		return False, err
-	}
-	return s.snapshot().AnswerCtx(ctx, q)
-}
-
-// AnswerWithStats is Answer returning the adaptive-deepening trace.
-func (s *System) AnswerWithStats(query string) (Truth, *core.AnswerStats, error) {
-	q, err := Prepare(query)
-	if err != nil {
-		return False, nil, err
-	}
-	return s.snapshot().AnswerWithStats(q)
-}
-
-// TraceAnswer is Answer recording a detailed evaluation trace: the
-// returned EvalTrace is the phase tree of everything the query paid for —
-// parse, snapshot acquisition, and each ladder rung with its chase /
-// reground / condense / solve breakdown (rungs already materialized by
-// earlier queries appear as cheap match-only spans). The trace is
-// per-call state; tracing one query never slows concurrent untraced
-// ones.
-func (s *System) TraceAnswer(query string) (Truth, *core.AnswerStats, *trace.EvalTrace, error) {
-	root := trace.NewDetailed("query")
-	endParse := root.Phase("parse")
-	q, err := Prepare(query)
-	endParse()
-	if err != nil {
-		return False, nil, root.Trace(), err
-	}
-	endSnap := root.Phase("snapshot")
-	snap := s.snapshot()
-	endSnap()
-	t, st, err := snap.answerTraced(q, root)
-	return t, st, root.Trace(), err
 }
 
 // QueryResult pairs an embedded query with its answer. Err reports a

@@ -1,9 +1,26 @@
 package wfs
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
+
+// answerStats answers query on sys's current snapshot, returning the
+// adaptive-deepening stats alongside the answer.
+func answerStats(sys *System, query string) (Truth, *core.AnswerStats, error) {
+	q, err := Prepare(query)
+	if err != nil {
+		return False, nil, err
+	}
+	snap, err := sys.Snapshot()
+	if err != nil {
+		return False, nil, err
+	}
+	return snap.AnswerCtxTraced(context.Background(), q, nil)
+}
 
 func TestLoadAndAnswer(t *testing.T) {
 	sys, err := Load(`
@@ -177,7 +194,7 @@ func TestAnswerWithStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, stats, err := sys.AnswerWithStats("? t(0).")
+	ans, stats, err := answerStats(sys, "? t(0).")
 	if err != nil {
 		t.Fatal(err)
 	}
