@@ -124,7 +124,7 @@ func main() {
 			logger.Fatalf("preload: %v", err)
 		}
 		var exists *server.ErrSessionExists
-		if _, err := srv.Registry().Create(*preloadName, string(src), wfs.Options{}); errors.As(err, &exists) && *dataDir != "" {
+		if _, err := srv.Registry().Create(*preloadName, string(src), wfs.Options{}, nil); errors.As(err, &exists) && *dataDir != "" {
 			// Recovery already rebuilt this session from its log; the
 			// durable state (including mutations since the original
 			// preload) wins over re-loading the file.

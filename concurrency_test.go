@@ -208,13 +208,14 @@ func TestRenderDuringWrites(t *testing.T) {
 	}
 }
 
-// TestParallelSolveUnderConcurrentReaders pins the modular solver's
-// worker pool under -race while snapshots are being built, read, and
-// invalidated concurrently: a many-component win-move program with
-// Parallelism 4 makes every evaluation fan components out across solver
-// goroutines, writers interleave mutations (so rebased snapshots exercise
-// the incremental path's condensation closure too), and readers hold
-// both stale and fresh snapshots.
+// TestParallelSolveUnderConcurrentReaders pins the modular solver and
+// the shared per-depth model slots under -race while snapshots are being
+// built, read, and invalidated concurrently: a many-component win-move
+// program gives every evaluation many cheap and a few hard components,
+// writers interleave mutations (so rebased snapshots exercise the
+// incremental path's condensation closure too), and readers hold both
+// stale and fresh snapshots, reading each through the ladder (Answer)
+// and the configured-depth model (TruthOf) at once.
 func TestParallelSolveUnderConcurrentReaders(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("move(X,Y), not win(Y) -> win(X).\n")
@@ -223,12 +224,12 @@ func TestParallelSolveUnderConcurrentReaders(t *testing.T) {
 			fmt.Fprintf(&b, "move(p%d_%d, p%d_%d).\n", c, i, c, i+1)
 		}
 	}
-	// A few genuine negation cycles so hard components solve in parallel
-	// with cheap ones.
+	// A few genuine negation cycles so hard components solve alongside
+	// cheap ones.
 	for c := 0; c < 3; c++ {
 		fmt.Fprintf(&b, "move(c%d_a, c%d_b).\nmove(c%d_b, c%d_a).\n", c, c, c, c)
 	}
-	sys, err := LoadWithOptions(b.String(), Options{Parallelism: 4})
+	sys, err := Load(b.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestParallelSolveUnderConcurrentReaders(t *testing.T) {
 	// Each reader iteration can report up to two errors (stale and fresh
 	// mismatch); size for the worst case so a broad regression fails
 	// loudly instead of deadlocking senders.
-	errs := make(chan error, (writers+2*readers)*iters)
+	errs := make(chan error, (writers+3*readers)*iters)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -285,6 +286,11 @@ func TestParallelSolveUnderConcurrentReaders(t *testing.T) {
 					errs <- err
 				} else if tv != want {
 					errs <- fmt.Errorf("win(p0_1) = %v in epoch %d, want %v", tv, snap.Epoch(), want)
+				}
+				if tv, err := snap.TruthOf("win(p0_1)"); err != nil {
+					errs <- err
+				} else if tv != want {
+					errs <- fmt.Errorf("TruthOf(win(p0_1)) = %v in epoch %d, want %v", tv, snap.Epoch(), want)
 				}
 			}
 		}()

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -269,7 +268,7 @@ func TestDeltaApplyBenchWorkloadIsSound(t *testing.T) {
 // cross-check suite (the random-program half lives in internal/ground):
 // on the ground program of every benchmark family, the modular SCC-wise
 // solve must agree truth-for-truth with each of the four global WFS
-// algorithms, sequentially and with a worker pool.
+// algorithms.
 func TestModularEquivOnFamilies(t *testing.T) {
 	families := map[string]string{
 		"Example4":          Example4,
@@ -300,12 +299,8 @@ func TestModularEquivOnFamilies(t *testing.T) {
 		res := chase.Run(prog, db, chase.Options{MaxDepth: core.DefaultDepth, MaxAtoms: 4_000_000})
 		gp := ground.FromChase(res)
 		for an, algo := range algos {
-			want := algo(gp)
-			for _, par := range []int{1, 4} {
-				got := ground.SolveModular(gp, algo, par, nil, nil)
-				if !got.Equal(want) {
-					t.Errorf("%s/%s par=%d: modular solve diverges from global", name, an, par)
-				}
+			if !ground.SolveModular(gp, algo, nil, nil).Equal(algo(gp)) {
+				t.Errorf("%s/%s: modular solve diverges from global", name, an)
 			}
 		}
 	}
@@ -322,12 +317,11 @@ func TestModularEquivOnFamilies(t *testing.T) {
 //     the modular solve finishes each component in a single definite
 //     pass — "global/update" vs "modular/update" is the acceptance
 //     comparison (criterion: ≥ 2×; BENCH_modular.json holds the
-//     committed baseline), and "modular-seq/update" isolates the
-//     decomposition win from the worker pool.
+//     committed baseline).
 //   - WinMoveCycle(3000) is the worst case for the modular solver: one
 //     negation cycle spans every win atom, so decomposition buys nothing
 //     and the subprogram extraction is pure overhead (criterion:
-//     "modular-seq/cycle" within 10% of "global/cycle").
+//     "modular/cycle" within 10% of "global/cycle").
 //   - "condense/update" prices the Tarjan condensation itself (cached on
 //     the Program in production, rebuilt fresh here).
 func BenchmarkModularSolve(b *testing.B) {
@@ -348,14 +342,7 @@ func BenchmarkModularSolve(b *testing.B) {
 	})
 	b.Run("modular/update", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if ground.SolveModular(gpU, ground.AlternatingFixpoint, runtime.GOMAXPROCS(0), nil, nil) == nil {
-				b.Fatal("no model")
-			}
-		}
-	})
-	b.Run("modular-seq/update", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ground.SolveModular(gpU, ground.AlternatingFixpoint, 1, nil, nil) == nil {
+			if ground.SolveModular(gpU, ground.AlternatingFixpoint, nil, nil) == nil {
 				b.Fatal("no model")
 			}
 		}
@@ -374,9 +361,9 @@ func BenchmarkModularSolve(b *testing.B) {
 			}
 		}
 	})
-	b.Run("modular-seq/cycle", func(b *testing.B) {
+	b.Run("modular/cycle", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if ground.SolveModular(gpC, ground.AlternatingFixpoint, 1, nil, nil) == nil {
+			if ground.SolveModular(gpC, ground.AlternatingFixpoint, nil, nil) == nil {
 				b.Fatal("no model")
 			}
 		}

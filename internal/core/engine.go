@@ -24,7 +24,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 
@@ -87,15 +86,6 @@ type Options struct {
 	MaxAtoms int
 	// Algorithm selects the WFS fixpoint algorithm.
 	Algorithm Algorithm
-
-	// Parallelism bounds the worker pool of the modular (SCC-wise)
-	// solver: independent dependency components on one topological level
-	// are solved concurrently by up to this many goroutines. 0 (the
-	// default) selects GOMAXPROCS; 1 solves strictly sequentially.
-	// Values beyond the solver's hard cap (256) are clamped — the field
-	// is reachable from untrusted session options, and worker scratch is
-	// sized by it.
-	Parallelism int
 
 	// Adaptive deepening (used by Answer): start depth, additive step,
 	// number of consecutive agreeing depths required, and the depth
@@ -161,12 +151,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxAtoms <= 0 {
 		o.MaxAtoms = 4_000_000
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.Parallelism > 256 {
-		o.Parallelism = 256 // mirror ground.SolveModular's hard cap
 	}
 	if o.GuardBand <= 0 {
 		o.GuardBand = 2
@@ -388,15 +372,13 @@ func RebaseModel(prev *Model, prog *program.Program, opts Options, depth int, ne
 // over ground programs (also handed to the warm-started incremental
 // evaluation, which applies it to the affected subprogram): the modular
 // SCC-wise evaluation, with the configured fixpoint algorithm run inside
-// each negation-cyclic component and up to opts.Parallelism independent
-// components solved concurrently. The solve records its condense/solve
+// each negation-cyclic component. The solve records its condense/solve
 // phases (and, on a Detailed trace, the slowest components) onto tr and
 // polls tok; either may be nil.
 func solverFor(opts Options, tok *cancel.Token, tr *trace.Span) func(*ground.Program) *ground.Model {
 	algo := algorithmFor(opts.Algorithm)
-	par := opts.Parallelism
 	return func(p *ground.Program) *ground.Model {
-		return ground.SolveModular(p, algo, par, tok, tr)
+		return ground.SolveModular(p, algo, tok, tr)
 	}
 }
 
@@ -513,13 +495,11 @@ type ModelStats struct {
 	// Modular-evaluation shape, populated by both the from-scratch
 	// modular solve and the incremental warm-start (which reports the
 	// full program's condensation): dependency-graph SCC count, the
-	// largest component's size, how many components had a negation cycle
-	// and needed the full WFS fixpoint, and the peak worker goroutines
-	// the solve used.
-	SCCs         int
-	LargestSCC   int
-	HardSCCs     int
-	SolveWorkers int
+	// largest component's size, and how many components had a negation
+	// cycle and needed the full WFS fixpoint.
+	SCCs       int
+	LargestSCC int
+	HardSCCs   int
 }
 
 // Stats computes the model's summary statistics.
@@ -536,7 +516,6 @@ func (m *Model) Stats() ModelStats {
 		SCCs:            m.GM.SCCs,
 		LargestSCC:      m.GM.LargestSCC,
 		HardSCCs:        m.GM.HardSCCs,
-		SolveWorkers:    m.GM.Workers,
 	}
 	for _, t := range m.GM.Truth {
 		switch t {

@@ -226,7 +226,7 @@ func TestStratifiedCoincidesWithWFSRandom(t *testing.T) {
 		rules = append(rules, Rule{Head: 0})
 		p := New(n, rules)
 		wfs := AlternatingFixpoint(p)
-		perfect := SolveModular(p, AlternatingFixpoint, 1, nil, nil)
+		perfect := SolveModular(p, AlternatingFixpoint, nil, nil)
 		if wfs.CountUndefined() != 0 || perfect.CountUndefined() != 0 {
 			return false
 		}

@@ -112,10 +112,7 @@ func IncrementalModel(gp *Program, prev *Model, seeds []atom.AtomID, solve func(
 	// Merged models report the full program's condensation shape, so the
 	// observability stats survive delta applies (the steady-state path of
 	// a mutating session) instead of zeroing after the first mutation.
-	wrap := func(out []Truth, rounds, workers int) *Model {
-		if workers < 1 {
-			workers = 1
-		}
+	wrap := func(out []Truth, rounds int) *Model {
 		return &Model{
 			Prog:       gp,
 			Truth:      out,
@@ -123,7 +120,6 @@ func IncrementalModel(gp *Program, prev *Model, seeds []atom.AtomID, solve func(
 			SCCs:       cond.NumComps(),
 			LargestSCC: cond.LargestComp,
 			HardSCCs:   cond.NumHard,
-			Workers:    workers,
 		}
 	}
 	if nAff == 0 {
@@ -131,7 +127,7 @@ func IncrementalModel(gp *Program, prev *Model, seeds []atom.AtomID, solve func(
 		for i := range out {
 			out[i] = prevTruth(int32(i))
 		}
-		return wrap(out, 0, 1)
+		return wrap(out, 0)
 	}
 	if nAff*4 > n {
 		end := tr.Phase("cold-solve")
@@ -226,5 +222,5 @@ func IncrementalModel(gp *Program, prev *Model, seeds []atom.AtomID, solve func(
 			out[i] = prevTruth(i)
 		}
 	}
-	return wrap(out, sm.Rounds, sm.Workers)
+	return wrap(out, sm.Rounds)
 }

@@ -2,10 +2,7 @@ package ground
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cancel"
@@ -40,19 +37,9 @@ import (
 //     algorithm, whose fixpoint then iterates over the component alone
 //     rather than the entire program.
 //
-// Components on one topological level never depend on each other, so a
-// level is solved concurrently by a bounded worker pool; scratch
-// (queues, subprogram buffers) lives per worker and is reused across
-// components. The shared truth and rule-counter arrays need no locks:
-// rules and atoms partition by component, components on one level are
-// claimed by exactly one worker each, and cross-level visibility is
-// ordered by the pool's WaitGroup barrier.
-// maxParallelism caps the worker pool regardless of the requested
-// parallelism: the option is client-reachable through the server's
-// session options, and worker scratch is allocated per worker, so an
-// absurd request must degrade to a big pool rather than an allocation
-// the size of the request.
-const maxParallelism = 256
+// Components are solved in component-ID order, which Condense already
+// makes bottom-up, so one pass needs no levels or barriers; one scratch
+// (queues, subprogram buffers) is reused across components.
 
 // topSlowestSCCs bounds how many per-component timings a detailed trace
 // keeps: real condensations have tens of thousands of components, and
@@ -60,11 +47,9 @@ const maxParallelism = 256
 const topSlowestSCCs = 8
 
 // compTimer collects per-component solve timings when a detailed trace
-// asks for them. It is shared by all workers of one solve, so observation
-// takes a mutex — acceptable because the timer exists only for explicitly
-// traced queries, never on the default path (tr nil or not Detailed).
+// asks for them; it exists only for explicitly traced queries, never on
+// the default path (tr nil or not Detailed).
 type compTimer struct {
-	mu      sync.Mutex
 	entries []compEntry
 }
 
@@ -73,12 +58,6 @@ type compEntry struct {
 	atoms int
 	hard  bool
 	d     time.Duration
-}
-
-func (t *compTimer) observe(e compEntry) {
-	t.mu.Lock()
-	t.entries = append(t.entries, e)
-	t.mu.Unlock()
 }
 
 // attachTop folds the collected timings into tr: the k slowest components
@@ -106,36 +85,24 @@ func timedSolveComp(p *Program, cond *Condensation, ci int32,
 	}
 	start := time.Now()
 	rounds := solveComp(p, cond, ci, truth, counts, sc, solve)
-	tm.observe(compEntry{ci: ci, atoms: len(cond.AtomsOf(ci)), hard: cond.NegCycle[ci], d: time.Since(start)})
+	tm.entries = append(tm.entries, compEntry{ci: ci, atoms: len(cond.AtomsOf(ci)), hard: cond.NegCycle[ci], d: time.Since(start)})
 	return rounds
 }
 
 // SolveModular evaluates p component by component (see the file
-// comment), handing negation-cyclic components to solve and running up to
-// parallelism independent components concurrently (<= 0 selects
-// GOMAXPROCS). tr receives a condense child span and SCC-shape counters
-// and — only when tr is Detailed — the top-k slowest components as child
-// spans. tok (nil = never cancelled) is polled at component granularity
-// — the sequential loop, each worker's claim loop, and the level barrier
-// — so a cancel stops the solve within one component's work; a stopped
-// solve returns with Interrupted set and a partial truth assignment that
-// callers must discard. tr and tok may each be nil.
-func SolveModular(p *Program, solve func(*Program) *Model, parallelism int, tok *cancel.Token, tr *trace.Span) *Model {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > maxParallelism {
-		parallelism = maxParallelism
-	}
+// comment), handing negation-cyclic components to solve. tr receives a
+// condense child span and SCC-shape counters and — only when tr is
+// Detailed — the top-k slowest components as child spans. tok (nil =
+// never cancelled) is polled once per component, so a cancel stops the
+// solve within one component's work; a stopped solve returns with
+// Interrupted set and a partial truth assignment that callers must
+// discard. tr and tok may each be nil.
+func SolveModular(p *Program, solve func(*Program) *Model, tok *cancel.Token, tr *trace.Span) *Model {
 	n := p.NumAtoms()
 	endCondense := tr.Phase("condense")
 	cond := p.Condensation()
 	endCondense()
 	ncomp := cond.NumComps()
-	var tm *compTimer
-	if tr.Detailed() {
-		tm = &compTimer{}
-	}
 	tr.SetCount("sccs", int64(ncomp))
 	tr.SetCount("largest_scc", int64(cond.LargestComp))
 	tr.SetCount("hard_sccs", int64(cond.NumHard))
@@ -148,7 +115,7 @@ func SolveModular(p *Program, solve func(*Program) *Model, parallelism int, tok 
 		// single-component workloads (win-move cycles and the like).
 		if tok.Cancelled() {
 			return &Model{Prog: p, Truth: make([]Truth, n), Interrupted: true,
-				SCCs: ncomp, LargestSCC: cond.LargestComp, HardSCCs: cond.NumHard, Workers: 1}
+				SCCs: ncomp, LargestSCC: cond.LargestComp, HardSCCs: cond.NumHard}
 		}
 		endSolve := tr.Phase("solve")
 		m := solve(p)
@@ -156,7 +123,6 @@ func SolveModular(p *Program, solve func(*Program) *Model, parallelism int, tok 
 		m.SCCs = ncomp
 		m.LargestSCC = cond.LargestComp
 		m.HardSCCs = cond.NumHard
-		m.Workers = 1
 		return m
 	}
 
@@ -166,125 +132,31 @@ func SolveModular(p *Program, solve func(*Program) *Model, parallelism int, tok 
 		SCCs:       ncomp,
 		LargestSCC: cond.LargestComp,
 		HardSCCs:   cond.NumHard,
-		Workers:    1,
 	}
 	counts := make([]int32, len(p.Rules))
-
+	var tm *compTimer
+	if tr.Detailed() {
+		tm = &compTimer{}
+	}
 	solveSpan := tr.Child("solve")
-	defer func() {
-		if tm != nil {
-			tm.attachTop(solveSpan, topSlowestSCCs)
-		}
-		solveSpan.End()
-	}()
-
-	if parallelism == 1 {
-		// Sequential: component IDs are already a bottom-up order, no
-		// levels or barriers needed. The token is polled per component —
-		// one atomic load against a component's whole solve.
-		sc := &modScratch{}
-		rounds := 0
-		for ci := int32(0); int(ci) < ncomp; ci++ {
-			if tok.Cancelled() {
-				m.Interrupted = true
-				break
-			}
-			rounds += timedSolveComp(p, cond, ci, m.Truth, counts, sc, solve, tm)
-		}
-		m.Rounds = rounds
-		tr.SetCount("rounds", int64(rounds))
-		return m
-	}
-
-	// Persistent worker pool: the pool goroutines are spawned once, on
-	// the first multi-component level, and fed one levelWork per level
-	// through buffered channels — a condensation's level count tracks
-	// the longest derivation chain, so spawning fresh goroutines per
-	// level would pay thousands of create/join cycles per solve. The
-	// coordinator participates as worker 0 and the WaitGroup is the
-	// level barrier: worker truth/counts writes at level k
-	// happen-before every level-k+1 read via Done→Wait→send.
-	scratches := make([]modScratch, parallelism)
-	var rounds atomic.Int64
-	type levelWork struct {
-		comps []int32
-		next  *atomic.Int32
-		wg    *sync.WaitGroup
-	}
-	var feeds []chan levelWork
-	defer func() {
-		for _, f := range feeds {
-			close(f)
-		}
-	}()
-	for lvl := 0; lvl < cond.NumLevels(); lvl++ {
+	sc := &modScratch{}
+	for ci := int32(0); int(ci) < ncomp; ci++ {
+		// One atomic load against a component's whole solve.
 		if tok.Cancelled() {
-			// Workers idle between levels (blocked on their feed channel),
-			// so stopping at the barrier leaks nothing; the deferred close
-			// of the feeds retires them.
 			m.Interrupted = true
 			break
 		}
-		comps := cond.CompsAtLevel(lvl)
-		if len(comps) == 1 {
-			rounds.Add(int64(timedSolveComp(p, cond, comps[0], m.Truth, counts, &scratches[0], solve, tm)))
-			continue
-		}
-		if nw := min(parallelism, len(comps)); nw > m.Workers {
-			m.Workers = nw
-		}
-		if feeds == nil {
-			feeds = make([]chan levelWork, parallelism-1)
-			for w := range feeds {
-				feeds[w] = make(chan levelWork, 1)
-				go func(f chan levelWork, sc *modScratch) {
-					for lw := range f {
-						rounds.Add(int64(runLevel(p, cond, lw.comps, lw.next, m.Truth, counts, sc, solve, tm, tok)))
-						lw.wg.Done()
-					}
-				}(feeds[w], &scratches[w+1])
-			}
-		}
-		var next atomic.Int32
-		var wg sync.WaitGroup
-		wg.Add(len(feeds))
-		lw := levelWork{comps: comps, next: &next, wg: &wg}
-		for _, f := range feeds {
-			f <- lw
-		}
-		rounds.Add(int64(runLevel(p, cond, comps, &next, m.Truth, counts, &scratches[0], solve, tm, tok)))
-		wg.Wait()
+		m.Rounds += timedSolveComp(p, cond, ci, m.Truth, counts, sc, solve, tm)
 	}
-	if !m.Interrupted && tok.Cancelled() {
-		// A cancel during the final level left claims unprocessed; the
-		// token is sticky, so checking after the barrier is reliable.
-		m.Interrupted = true
+	if tm != nil {
+		tm.attachTop(solveSpan, topSlowestSCCs)
 	}
-	m.Rounds = int(rounds.Load())
+	solveSpan.End()
 	tr.SetCount("rounds", int64(m.Rounds))
-	tr.SetCount("workers", int64(m.Workers))
 	return m
 }
 
-// runLevel claims components of one topological level off the shared
-// cursor until the level is exhausted (or the token trips), returning
-// the rounds spent.
-func runLevel(p *Program, cond *Condensation, comps []int32, next *atomic.Int32,
-	truth []Truth, counts []int32, sc *modScratch, solve func(*Program) *Model, tm *compTimer, tok *cancel.Token) int {
-	rounds := 0
-	for {
-		if tok.Cancelled() {
-			return rounds
-		}
-		i := int(next.Add(1)) - 1
-		if i >= len(comps) {
-			return rounds
-		}
-		rounds += timedSolveComp(p, cond, comps[i], truth, counts, sc, solve, tm)
-	}
-}
-
-// modScratch is one worker's reusable buffers: the derivation queue of
+// modScratch is the solve's reusable buffers: the derivation queue of
 // the cheap path and the subprogram-building state of the hard path.
 // Reuse across components is safe because a component's submodel is
 // consumed (truths copied out) before the next component is built.

@@ -43,10 +43,6 @@ func TestCondenseWinMoveChain(t *testing.T) {
 	if c.Comp[0] < c.Comp[1] || c.Comp[1] < c.Comp[2] {
 		t.Errorf("win components out of topological order: %v", c.Comp[:3])
 	}
-	// Levels: a dependency's level is strictly below its dependent's.
-	if !(c.Level[c.Comp[0]] > c.Level[c.Comp[1]] && c.Level[c.Comp[1]] > c.Level[c.Comp[2]]) {
-		t.Errorf("levels not strictly increasing toward win(0): %v", c.Level)
-	}
 }
 
 func TestCondenseCycleIsOneHardComponent(t *testing.T) {
@@ -68,7 +64,7 @@ func TestCondenseCycleIsOneHardComponent(t *testing.T) {
 	if c.Comp[0] != c.Comp[1] || c.Comp[1] != c.Comp[2] {
 		t.Errorf("cycle atoms in distinct components: %v", c.Comp[:3])
 	}
-	m := SolveModular(p, AlternatingFixpoint, 1, nil, nil)
+	m := SolveModular(p, AlternatingFixpoint, nil, nil)
 	for a := int32(0); a < 3; a++ {
 		if m.Truth[a] != Undefined {
 			t.Errorf("win atom %d = %v, want undefined", a, m.Truth[a])
@@ -116,14 +112,11 @@ func TestModularUndefinedBoundary(t *testing.T) {
 	)
 	for name, algo := range fourAlgorithms {
 		want := algo(p)
-		for _, par := range []int{1, 4} {
-			got := SolveModular(p, algo, par, nil, nil)
-			if !got.Equal(want) {
-				t.Errorf("%s par=%d:\n got %v\nwant %v", name, par, got, want)
-			}
+		if got := SolveModular(p, algo, nil, nil); !got.Equal(want) {
+			t.Errorf("%s:\n got %v\nwant %v", name, got, want)
 		}
 	}
-	m := SolveModular(p, AlternatingFixpoint, 1, nil, nil)
+	m := SolveModular(p, AlternatingFixpoint, nil, nil)
 	for a, want := range []Truth{Undefined, Undefined, Undefined, Undefined, Undefined, Undefined, True, True} {
 		if m.Truth[a] != want {
 			t.Errorf("atom %d = %v, want %v", a, m.Truth[a], want)
@@ -134,7 +127,7 @@ func TestModularUndefinedBoundary(t *testing.T) {
 // TestModularEquivGlobalRandom is the headline cross-check: on random
 // ground programs (the same generator the four global algorithms are
 // cross-checked with), the modular solve agrees truth-for-truth with
-// every global algorithm, sequentially and with a worker pool.
+// every global algorithm.
 func TestModularEquivGlobalRandom(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(23))}
 	if err := quick.Check(func(seed int64) bool {
@@ -142,12 +135,9 @@ func TestModularEquivGlobalRandom(t *testing.T) {
 		p := RandomProgram(rng, 3+rng.Intn(20), 3+rng.Intn(30), 3, 3, rng.Intn(4))
 		want := AlternatingFixpoint(p)
 		for name, algo := range fourAlgorithms {
-			for _, par := range []int{1, 3} {
-				got := SolveModular(p, algo, par, nil, nil)
-				if !got.Equal(want) {
-					t.Logf("seed %d %s par=%d:\n got %v\nwant %v", seed, name, par, got, want)
-					return false
-				}
+			if got := SolveModular(p, algo, nil, nil); !got.Equal(want) {
+				t.Logf("seed %d %s:\n got %v\nwant %v", seed, name, got, want)
+				return false
 			}
 		}
 		return true
@@ -156,10 +146,9 @@ func TestModularEquivGlobalRandom(t *testing.T) {
 	}
 }
 
-// TestModularManyComponentsParallel exercises the level-parallel pool on
-// a workload with many independent components per level: k disjoint
-// win-move chains (all singleton components) plus k independent negation
-// 2-cycles (hard components, all on one level).
+// TestModularManyComponentsParallel exercises a workload with many
+// independent components: k disjoint win-move chains (all singleton
+// components) plus k independent negation 2-cycles (hard components).
 func TestModularManyComponentsParallel(t *testing.T) {
 	const k, l = 37, 9
 	var rules []Rule
@@ -180,25 +169,15 @@ func TestModularManyComponentsParallel(t *testing.T) {
 	}
 	p := New(n, rules)
 	want := AlternatingFixpoint(p)
-	for _, par := range []int{1, 2, 8} {
-		got := SolveModular(p, AlternatingFixpoint, par, nil, nil)
-		if !got.Equal(want) {
-			t.Fatalf("par=%d diverges from global solve", par)
-		}
-		if want := k * (l + 1); got.SCCs != want { // l singletons + one 2-cycle per chain
-			t.Errorf("par=%d SCCs = %d, want %d", par, got.SCCs, want)
-		}
-		if got.HardSCCs != k {
-			t.Errorf("par=%d hard SCCs = %d, want %d", par, got.HardSCCs, k)
-		}
+	got := SolveModular(p, AlternatingFixpoint, nil, nil)
+	if !got.Equal(want) {
+		t.Fatalf("modular solve diverges from global solve")
 	}
-	if got := SolveModular(p, AlternatingFixpoint, 8, nil, nil); got.Workers < 2 {
-		t.Errorf("workers = %d, want ≥ 2 with parallelism 8", got.Workers)
+	if want := k * (l + 1); got.SCCs != want { // l singletons + one 2-cycle per chain
+		t.Errorf("SCCs = %d, want %d", got.SCCs, want)
 	}
-	// An absurd (client-reachable) parallelism request is clamped, not
-	// allocated: the solve must succeed with a bounded pool.
-	if got := SolveModular(p, AlternatingFixpoint, 1<<30, nil, nil); !got.Equal(want) || got.Workers > maxParallelism {
-		t.Errorf("clamped solve diverged or overspawned: workers = %d", got.Workers)
+	if got.HardSCCs != k {
+		t.Errorf("hard SCCs = %d, want %d", got.HardSCCs, k)
 	}
 }
 
@@ -209,9 +188,9 @@ func TestModularSingleComponentFallback(t *testing.T) {
 		Rule{Head: 0, Neg: []int32{1}},
 		Rule{Head: 1, Neg: []int32{0}},
 	)
-	m := SolveModular(p, AlternatingFixpoint, 4, nil, nil)
-	if m.SCCs != 1 || m.Workers != 1 {
-		t.Errorf("SCCs=%d Workers=%d, want 1 and 1", m.SCCs, m.Workers)
+	m := SolveModular(p, AlternatingFixpoint, nil, nil)
+	if m.SCCs != 1 {
+		t.Errorf("SCCs=%d, want 1", m.SCCs)
 	}
 	if !m.Equal(AlternatingFixpoint(p)) {
 		t.Errorf("fallback diverges")
@@ -221,10 +200,10 @@ func TestModularSingleComponentFallback(t *testing.T) {
 // TestModularEmptyAndRulelessAtoms: degenerate shapes must not crash and
 // must leave rule-less atoms false.
 func TestModularEmptyAndRulelessAtoms(t *testing.T) {
-	if m := SolveModular(New(0, nil), AlternatingFixpoint, 2, nil, nil); len(m.Truth) != 0 {
+	if m := SolveModular(New(0, nil), AlternatingFixpoint, nil, nil); len(m.Truth) != 0 {
 		t.Errorf("empty program produced truths: %v", m.Truth)
 	}
-	m := SolveModular(New(3, []Rule{{Head: 1}}), AlternatingFixpoint, 2, nil, nil)
+	m := SolveModular(New(3, []Rule{{Head: 1}}), AlternatingFixpoint, nil, nil)
 	for a, want := range []Truth{False, True, False} {
 		if m.Truth[a] != want {
 			t.Errorf("atom %d = %v, want %v", a, m.Truth[a], want)
@@ -246,7 +225,7 @@ func TestModularRoundsGrowWithChainLength(t *testing.T) {
 	}
 	prev := 0
 	for _, l := range []int{4, 16, 64} {
-		m := SolveModular(build(l), AlternatingFixpoint, 1, nil, nil)
+		m := SolveModular(build(l), AlternatingFixpoint, nil, nil)
 		if m.Rounds <= prev {
 			t.Fatalf("rounds did not grow: %d at length %d (prev %d)", m.Rounds, l, prev)
 		}
@@ -295,8 +274,8 @@ func TestIncrementalUsesCondensation(t *testing.T) {
 	// The merged model must report the full program's condensation shape
 	// (a mutating session's stats would otherwise zero after the first
 	// delta).
-	if got.SCCs != n || got.LargestSCC != 1 || got.HardSCCs != 0 || got.Workers < 1 {
-		t.Errorf("merged model stats SCCs=%d Largest=%d Hard=%d Workers=%d, want %d/1/0/≥1",
-			got.SCCs, got.LargestSCC, got.HardSCCs, got.Workers, n)
+	if got.SCCs != n || got.LargestSCC != 1 || got.HardSCCs != 0 {
+		t.Errorf("merged model stats SCCs=%d Largest=%d Hard=%d, want %d/1/0",
+			got.SCCs, got.LargestSCC, got.HardSCCs, n)
 	}
 }

@@ -416,7 +416,6 @@ type Model struct {
 	SCCs       int // dependency-graph components
 	LargestSCC int // atoms in the largest component
 	HardSCCs   int // components with a negation cycle (full WFS fixpoint)
-	Workers    int // peak worker goroutines used by the solve
 
 	// Interrupted reports that a cancellation token stopped the solve
 	// before the fixpoint: Truth is a partial assignment and the model

@@ -21,9 +21,9 @@ import "sync"
 // fixpoint.
 //
 // All grouped data (a component's atoms and rules, a component's
-// dependents, a level's components) is stored in CSR form — one flat
-// pointer-free int32 array plus offsets, read through the *Of accessors —
-// rather than as slices of slices: a condensation is rebuilt per
+// dependents) is stored in CSR form — one flat pointer-free int32 array
+// plus offsets, read through the *Of accessors — rather than as slices
+// of slices: a condensation is rebuilt per
 // regrounding (every delta), and tens of thousands of slice headers are
 // exactly the allocation and GC-scan load the arena-backed grounding
 // paths were built to avoid.
@@ -37,11 +37,6 @@ type Condensation struct {
 	// NegCycle marks components with an internal negative edge (a rule
 	// whose head and some negative body atom share the component).
 	NegCycle []bool
-	// Level is the topological level: 0 for components with no
-	// dependencies, otherwise 1 + the maximum level of any dependency.
-	// Components on one level never depend on each other (a dependency
-	// forces a strictly smaller level), so a level is a parallel batch.
-	Level []int32
 	// LargestComp is the size (in atoms) of the largest component.
 	LargestComp int
 	// NumHard counts components with NegCycle set.
@@ -50,7 +45,6 @@ type Condensation struct {
 	atomOff, atomList []int32 // AtomsOf: component → its atoms
 	ruleOff, ruleList []int32 // RulesOf: component → rules headed in it
 	depOff, depList   []int32 // DependentsOf: component → distinct dependents
-	lvlOff, lvlList   []int32 // CompsAtLevel: level → its components
 }
 
 // NumComps returns the number of components.
@@ -60,9 +54,6 @@ func (c *Condensation) NumComps() int { return len(c.atomOff) - 1 }
 func (c *Condensation) CompSize(ci int32) int {
 	return int(c.atomOff[ci+1] - c.atomOff[ci])
 }
-
-// NumLevels returns the number of topological levels.
-func (c *Condensation) NumLevels() int { return len(c.lvlOff) - 1 }
 
 // AtomsOf lists component ci's atoms, indexed by PosInComp.
 func (c *Condensation) AtomsOf(ci int32) []int32 {
@@ -81,11 +72,6 @@ func (c *Condensation) RulesOf(ci int32) []int32 {
 // dependency edge, which the marking BFS consumer absorbs for free.
 func (c *Condensation) DependentsOf(ci int32) []int32 {
 	return c.depList[c.depOff[ci]:c.depOff[ci+1]]
-}
-
-// CompsAtLevel lists the components of one topological level.
-func (c *Condensation) CompsAtLevel(l int) []int32 {
-	return c.lvlList[c.lvlOff[l]:c.lvlOff[l+1]]
 }
 
 // prefixCSR turns per-key counts (in place) into CSR start offsets: on
@@ -120,8 +106,8 @@ func Condense(p *Program) *Condensation { return condense(p, true) }
 // condense builds a condensation. full selects everything the modular
 // solver consumes; !full builds only what the incremental closure needs —
 // Comp, component sizes, and (possibly duplicated) dependent edges —
-// skipping the atom/rule grouping scatters, negation-cycle detection, and
-// the level schedule, which roughly halves the per-delta cost.
+// skipping the atom/rule grouping scatters, which roughly halves the
+// per-delta cost.
 //
 // A condensation is rebuilt for every regrounding — each applied delta —
 // so construction is allocation-lean: all transient working memory comes
@@ -132,16 +118,15 @@ func condense(p *Program, full bool) *Condensation {
 	n := p.NumAtoms()
 	if n == 0 {
 		z := []int32{0}
-		return &Condensation{atomOff: z, ruleOff: z, depOff: z, lvlOff: []int32{0, 0}}
+		return &Condensation{atomOff: z, ruleOff: z, depOff: z}
 	}
 	nr := len(p.Rules)
 	ne := 0
 	for ri := range p.Rules {
 		ne += len(p.Rules[ri].Pos) + len(p.Rules[ri].Neg)
 	}
-	// Retained arena (worst-case bounds: ncomp ≤ n, maxLevel+1 ≤ ncomp,
-	// dependent edges ≤ ne).
-	arenaSize := 9*n + nr + ne + 6
+	// Retained arena (worst-case bounds: ncomp ≤ n, dependent edges ≤ ne).
+	arenaSize := 6*n + nr + ne + 3
 	if !full {
 		arenaSize = 3*n + ne + 3 // Comp, atomOff, depOff, depList
 	}
@@ -298,7 +283,7 @@ func condense(p *Program, full bool) *Condensation {
 	if !full {
 		// Closure-only build: dependent edges in natural rule order,
 		// duplicates allowed (the marking BFS dedups for free) — no rule
-		// grouping, no level schedule. Negation cycles are still
+		// grouping. Negation cycles are still
 		// detected (the sweep walks every body atom anyway), so merged
 		// incremental models can report the condensation shape.
 		c.NegCycle = make([]bool, ncomp)
@@ -355,15 +340,13 @@ func condense(p *Program, full bool) *Condensation {
 		cnt[ci]++
 	}
 
-	// Negative cycles, topological levels, and deduplicated dependent
-	// edges in one sweep over the rules grouped by head component.
-	// Components are visited in increasing (topological) order, so Level
-	// of every dependency is final when read, and lastDep-based dedup is
-	// exact: lastDep[d] can only equal ci while ci's own rules scan. The
-	// discovered (dependency, dependent) edges are buffered and scattered
-	// afterwards instead of re-scanning the rules.
+	// Negative cycles and deduplicated dependent edges in one sweep over
+	// the rules grouped by head component. Components are visited in
+	// increasing order, so lastDep-based dedup is exact: lastDep[d] can
+	// only equal ci while ci's own rules scan. The discovered (dependency,
+	// dependent) edges are buffered and scattered afterwards instead of
+	// re-scanning the rules.
 	c.NegCycle = make([]bool, ncomp)
-	c.Level = take(int(ncomp))
 	depCnt := cnt // dead again; reuse
 	for i := range depCnt {
 		depCnt[i] = 0
@@ -374,13 +357,8 @@ func condense(p *Program, full bool) *Condensation {
 	}
 	depSrc := stake(ne)[:0]
 	depDst := stake(ne)[:0]
-	maxLevel := int32(0)
 	for ci := int32(0); ci < ncomp; ci++ {
-		lvl := int32(0)
 		dep := func(d int32) {
-			if l := c.Level[d] + 1; l > lvl {
-				lvl = l
-			}
 			if lastDep[d] != ci {
 				lastDep[d] = ci
 				depCnt[d]++
@@ -403,10 +381,6 @@ func condense(p *Program, full bool) *Condensation {
 				}
 			}
 		}
-		c.Level[ci] = lvl
-		if lvl > maxLevel {
-			maxLevel = lvl
-		}
 		if c.NegCycle[ci] {
 			c.NumHard++
 		}
@@ -420,22 +394,6 @@ func condense(p *Program, full bool) *Condensation {
 	for k, d := range depSrc {
 		c.depList[depCnt[d]] = depDst[k]
 		depCnt[d]++
-	}
-
-	lvlCnt := lastDep[:maxLevel+1] // dead again; reuse
-	for i := range lvlCnt {
-		lvlCnt[i] = 0
-	}
-	for _, l := range c.Level {
-		lvlCnt[l]++
-	}
-	c.lvlOff = take(int(maxLevel) + 2)
-	c.lvlList = take(int(ncomp))
-	prefixCSR(lvlCnt, c.lvlOff)
-	for ci := int32(0); ci < ncomp; ci++ {
-		l := c.Level[ci]
-		c.lvlList[lvlCnt[l]] = ci
-		lvlCnt[l]++
 	}
 	return c
 }

@@ -40,7 +40,6 @@ type SessionOptions struct {
 	Depth           int    `json:"depth,omitempty"`
 	MaxAtoms        int    `json:"max_atoms,omitempty"`
 	Algorithm       string `json:"algorithm,omitempty"` // alternating-fixpoint | unfounded-sets | forward-proofs | remainder
-	Parallelism     int    `json:"parallelism,omitempty"`
 	AdaptiveStart   int    `json:"adaptive_start,omitempty"`
 	AdaptiveStep    int    `json:"adaptive_step,omitempty"`
 	StabilityWindow int    `json:"stability_window,omitempty"`
@@ -59,7 +58,6 @@ func (o *SessionOptions) toOptions() (wfs.Options, error) {
 	opts := wfs.Options{
 		Depth:           o.Depth,
 		MaxAtoms:        o.MaxAtoms,
-		Parallelism:     o.Parallelism,
 		AdaptiveStart:   o.AdaptiveStart,
 		AdaptiveStep:    o.AdaptiveStep,
 		StabilityWindow: o.StabilityWindow,
@@ -271,12 +269,11 @@ type ModelStats struct {
 	FalseAtoms      int  `json:"false_atoms"`
 
 	// Modular-evaluation shape: dependency-graph SCC count, largest
-	// component size, components that needed the full WFS fixpoint
-	// (internal negation cycle), and peak solver workers.
-	SCCCount     int `json:"scc_count"`
-	LargestSCC   int `json:"largest_scc"`
-	HardSCCs     int `json:"hard_sccs"`
-	SolveWorkers int `json:"solve_workers"`
+	// component size, and components that needed the full WFS fixpoint
+	// (internal negation cycle).
+	SCCCount   int `json:"scc_count"`
+	LargestSCC int `json:"largest_scc"`
+	HardSCCs   int `json:"hard_sccs"`
 }
 
 // SessionStatsResponse reports engine/model statistics for one session.
@@ -320,7 +317,6 @@ func sessionStatsDTO(name string, st wfs.Stats, em wfs.EngineMetricsSnapshot, re
 			SCCCount:        st.Model.SCCs,
 			LargestSCC:      st.Model.LargestSCC,
 			HardSCCs:        st.Model.HardSCCs,
-			SolveWorkers:    st.Model.SolveWorkers,
 		},
 	}
 }

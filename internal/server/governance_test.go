@@ -195,6 +195,18 @@ func TestBudgetExceeded422(t *testing.T) {
 	if selResp.Budget == nil || selResp.Budget.Limit != 40 || selResp.Budget.Atoms <= 0 {
 		t.Errorf("select 422 body budget block = %+v, want limit 40 and atoms > 0", selResp.Budget)
 	}
+
+	// /truth and /explain read the same configured-depth model: a truth
+	// value or proof from the truncated universe would be unsound.
+	for _, path := range []string{"/v1/sessions/e/truth", "/v1/sessions/e/explain"} {
+		var resp ErrorResponse
+		if code := c.do("POST", path, QueryRequest{Atom: "w(a)"}, &resp); code != http.StatusUnprocessableEntity {
+			t.Fatalf("budget %s: status %d, want 422", path, code)
+		}
+		if resp.Budget == nil || resp.Budget.Limit != 40 || resp.Budget.Atoms <= 0 {
+			t.Errorf("%s 422 body budget block = %+v, want limit 40 and atoms > 0", path, resp.Budget)
+		}
+	}
 }
 
 // TestRetryAfterEstimate covers the limiter's drain-rate arithmetic:

@@ -57,7 +57,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	sess, err := s.reg.CreateTraced(req.Name, req.Program, opts, requestTrace(r).span())
+	sess, err := s.reg.Create(req.Name, req.Program, opts, requestTrace(r).span())
 	if err != nil {
 		writeError(w, r, statusFor(err), err)
 		return
@@ -470,7 +470,7 @@ func (s *Server) handleTruth(w http.ResponseWriter, r *http.Request) {
 		return TruthResponse{Atom: norm, Truth: t.String()}, nil
 	})
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		writeError(w, r, s.queryStatus(err), err)
 		return
 	}
 	resp := v.(TruthResponse)
@@ -484,8 +484,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v, cached, err := s.cachedQuery(sess, "explain", norm, func(snap *wfs.Snapshot) (any, error) {
-		// Explain distinguishes malformed input (error → 400) from an
-		// atom that simply is not true (ok=false → empty proof).
+		// Explain distinguishes malformed input (error → 400) and a
+		// truncated chase (→ 422) from an atom that simply is not true
+		// (ok=false → empty proof).
 		proof, isTrue, err := snap.Explain(norm)
 		if err != nil {
 			return nil, err
@@ -493,7 +494,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return ExplainResponse{Atom: norm, True: isTrue, Proof: proof}, nil
 	})
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		writeError(w, r, s.queryStatus(err), err)
 		return
 	}
 	resp := v.(ExplainResponse)

@@ -215,7 +215,7 @@ func (s *Server) OpenWAL(dir string, wopts wal.Options) (RecoveryStats, error) {
 		root = trace.New("startup-recovery")
 	}
 	start := time.Now()
-	recs, skipped, err := m.RecoverTraced(root)
+	recs, skipped, err := m.Recover(root)
 	if err != nil {
 		return RecoveryStats{}, err
 	}

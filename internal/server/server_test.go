@@ -430,6 +430,21 @@ func TestRequestLimits(t *testing.T) {
 	}
 }
 
+// TestCreateRejectsRetiredParallelism: options.parallelism left the wire
+// with the solver's worker pool, so a client still sending it gets the
+// unknown-field 400 rather than a silently ignored knob.
+func TestCreateRejectsRetiredParallelism(t *testing.T) {
+	c := newTestClient(t, Config{})
+	var errResp ErrorResponse
+	body := json.RawMessage(`{"name":"p","program":"p(a).","options":{"parallelism":4}}`)
+	if code := c.do("POST", "/v1/sessions", body, &errResp); code != http.StatusBadRequest {
+		t.Fatalf("create with options.parallelism: status %d, want 400", code)
+	}
+	if !strings.Contains(errResp.Error, "parallelism") {
+		t.Errorf("error %q does not name the unknown field", errResp.Error)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	c := newTestClient(t, Config{})
 	var out map[string]string

@@ -161,15 +161,10 @@ func (e *ErrProgramDiagnostics) Error() string {
 
 // Create compiles src under opts and registers it under name. Compilation
 // runs outside the registry lock so a slow load never blocks lookups; the
-// name is reserved first so two racing creates cannot both win.
-func (r *Registry) Create(name, src string, opts wfs.Options) (*Session, error) {
-	return r.CreateTraced(name, src, opts, nil)
-}
-
-// CreateTraced is Create recording the load's phases — parse/compile,
-// static analysis, the initial WAL checkpoint — under tr. A nil tr is
-// Create.
-func (r *Registry) CreateTraced(name, src string, opts wfs.Options, tr *trace.Span) (*Session, error) {
+// name is reserved first so two racing creates cannot both win. The
+// load's phases — parse/compile, static analysis, the initial WAL
+// checkpoint — are recorded under tr, which may be nil.
+func (r *Registry) Create(name, src string, opts wfs.Options, tr *trace.Span) (*Session, error) {
 	if err := validateName(name); err != nil {
 		return nil, err
 	}
@@ -245,7 +240,7 @@ func (r *Registry) attachWAL(sess *Session) {
 		if sess.breaker.isOpen() {
 			return &ErrWALUnavailable{Name: sess.Name, ReadOnly: true}
 		}
-		if err := sess.wlog.AppendTraced(epoch, adds, retracts, tr); err != nil {
+		if err := sess.wlog.Append(epoch, adds, retracts, tr); err != nil {
 			if sess.breaker.recordFailure() {
 				if r.logger != nil {
 					r.logger.Printf("wal: session %q entering read-only mode after %d consecutive append failures: %v",

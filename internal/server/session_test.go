@@ -11,14 +11,14 @@ import (
 
 func TestRegistryCRUD(t *testing.T) {
 	r := NewRegistry(0)
-	s, err := r.Create("a", "p(x).", wfs.Options{})
+	s, err := r.Create("a", "p(x).", wfs.Options{}, nil)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	if s.Name != "a" || s.Sys.NumFacts() != 1 {
 		t.Errorf("session = %+v", s)
 	}
-	if _, err := r.Create("a", "q(y).", wfs.Options{}); err == nil {
+	if _, err := r.Create("a", "q(y).", wfs.Options{}, nil); err == nil {
 		t.Errorf("duplicate Create succeeded")
 	} else {
 		var exists *ErrSessionExists
@@ -46,11 +46,11 @@ func TestRegistryCRUD(t *testing.T) {
 
 func TestRegistryCompileErrorReleasesName(t *testing.T) {
 	r := NewRegistry(1)
-	if _, err := r.Create("a", "p(", wfs.Options{}); err == nil {
+	if _, err := r.Create("a", "p(", wfs.Options{}, nil); err == nil {
 		t.Fatalf("Create with syntax error succeeded")
 	}
 	// The failed create must not leak its reservation against the limit.
-	if _, err := r.Create("a", "p(x).", wfs.Options{}); err != nil {
+	if _, err := r.Create("a", "p(x).", wfs.Options{}, nil); err != nil {
 		t.Errorf("Create after failed compile: %v", err)
 	}
 }
@@ -58,17 +58,17 @@ func TestRegistryCompileErrorReleasesName(t *testing.T) {
 func TestRegistryLimit(t *testing.T) {
 	r := NewRegistry(2)
 	for i := 0; i < 2; i++ {
-		if _, err := r.Create(fmt.Sprintf("s%d", i), "p(x).", wfs.Options{}); err != nil {
+		if _, err := r.Create(fmt.Sprintf("s%d", i), "p(x).", wfs.Options{}, nil); err != nil {
 			t.Fatalf("Create %d: %v", i, err)
 		}
 	}
-	_, err := r.Create("s2", "p(x).", wfs.Options{})
+	_, err := r.Create("s2", "p(x).", wfs.Options{}, nil)
 	var full *ErrTooManySessions
 	if !errors.As(err, &full) {
 		t.Errorf("over-limit Create error = %v", err)
 	}
 	r.Delete("s0")
-	if _, err := r.Create("s2", "p(x).", wfs.Options{}); err != nil {
+	if _, err := r.Create("s2", "p(x).", wfs.Options{}, nil); err != nil {
 		t.Errorf("Create after Delete: %v", err)
 	}
 }
@@ -76,12 +76,12 @@ func TestRegistryLimit(t *testing.T) {
 func TestRegistryNameValidation(t *testing.T) {
 	r := NewRegistry(0)
 	for _, bad := range []string{"", ".", "..", "a/b", "a\nb", "a\x00b", string(make([]byte, 200))} {
-		if _, err := r.Create(bad, "p(x).", wfs.Options{}); err == nil {
+		if _, err := r.Create(bad, "p(x).", wfs.Options{}, nil); err == nil {
 			t.Errorf("Create(%q) succeeded", bad)
 		}
 	}
 	for _, good := range []string{"a", "my-session.v2", "Ünïcode name"} {
-		if _, err := r.Create(good, "p(x).", wfs.Options{}); err != nil {
+		if _, err := r.Create(good, "p(x).", wfs.Options{}, nil); err != nil {
 			t.Errorf("Create(%q): %v", good, err)
 		}
 	}
@@ -98,7 +98,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				name := fmt.Sprintf("s%d", i%10)
 				switch g % 3 {
 				case 0:
-					r.Create(name, "p(x).", wfs.Options{})
+					r.Create(name, "p(x).", wfs.Options{}, nil)
 				case 1:
 					if s, err := r.Get(name); err == nil {
 						s.Sys.NumFacts()

@@ -85,7 +85,7 @@ func TestMalformedTraceparentNever500(t *testing.T) {
 	for _, h := range []string{
 		"",
 		"garbage",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7", // missing flags
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",    // missing flags
 		"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // zero trace ID
 		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", // uppercase
 		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // forbidden version

@@ -45,7 +45,7 @@ func Evaluate(prog *program.Program, db program.Database, depth int) (*core.Mode
 	// The algorithm argument only runs inside negation-cyclic components,
 	// of which a stratified program has none; it is the fallback for the
 	// degenerate single-component condensation.
-	gm := ground.SolveModular(gp, ground.AlternatingFixpoint, 0, nil, nil)
+	gm := ground.SolveModular(gp, ground.AlternatingFixpoint, nil, nil)
 	stats := res.ComputeStats()
 	return &core.Model{
 		Chase: res,

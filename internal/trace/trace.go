@@ -14,9 +14,8 @@
 // than coarse totals (the always-on engine metrics accumulation).
 //
 // Spans form a tree. Child starts a sub-span; End stops it. A span may
-// have children started from multiple goroutines (the modular solver's
-// worker pool): the child list is mutex-guarded, and counters use the
-// same lock. Phase provides the closure-style hook (start, return the
+// have children started from multiple goroutines: the child list is
+// mutex-guarded, and counters use the same lock. Phase provides the closure-style hook (start, return the
 // stop function) for linear sequences.
 package trace
 

@@ -166,9 +166,9 @@ func TestFmtDurUnits(t *testing.T) {
 	}
 }
 
-// TestConcurrentUse exercises a span tree from many goroutines the way
-// the modular solver's worker pool does; run under -race it proves the
-// recorder is safe for concurrent children and counters.
+// TestConcurrentUse exercises a span tree from many goroutines; run
+// under -race it proves the recorder is safe for concurrent children and
+// counters.
 func TestConcurrentUse(t *testing.T) {
 	root := New("solve")
 	var wg sync.WaitGroup

@@ -63,7 +63,7 @@ func BenchmarkWALAppend(b *testing.B) {
 				b.Fatal(err)
 			}
 			sys.SetCommitHook(func(e uint64, adds, retracts []wfs.FactRef, _ *trace.Span) error {
-				return l.Append(e, adds, retracts)
+				return l.Append(e, adds, retracts, nil)
 			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -97,7 +97,7 @@ func BenchmarkRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		sys.SetCommitHook(func(e uint64, adds, retracts []wfs.FactRef, _ *trace.Span) error {
-			return l.Append(e, adds, retracts)
+			return l.Append(e, adds, retracts, nil)
 		})
 		return man, sys, l
 	}()
@@ -116,7 +116,7 @@ func BenchmarkRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		recs, skipped, err := m.Recover()
+		recs, skipped, err := m.Recover(nil)
 		if err != nil || len(skipped) != 0 || len(recs) != 1 || recs[0].Replayed != tail {
 			b.Fatalf("recover: recs=%d skipped=%d replayed=%v err=%v", len(recs), len(skipped), recs, err)
 		}

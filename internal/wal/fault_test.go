@@ -172,10 +172,10 @@ func runFaultWorkload(t *testing.T, ffs *faultFS, dir string) (acked uint64, cre
 	}
 	append1 := func(epoch uint64) bool {
 		adds := []wfs.FactRef{{Pred: "q", Args: []string{fmt.Sprintf("e%d", epoch)}}}
-		if l.Append(epoch, adds, nil) == nil {
+		if l.Append(epoch, adds, nil, nil) == nil {
 			return true
 		}
-		return l.Append(epoch, adds, nil) == nil // one retry, as a healed disk would see
+		return l.Append(epoch, adds, nil, nil) == nil // one retry, as a healed disk would see
 	}
 	facts := []wfs.FactRef(nil)
 	for e := uint64(1); e <= 3; e++ {
@@ -187,9 +187,9 @@ func runFaultWorkload(t *testing.T, ffs *faultFS, dir string) (acked uint64, cre
 	}
 	ckFacts := append([]wfs.FactRef(nil), facts...)
 	ckEpoch := acked
-	l.Checkpoint(func() Checkpoint {
+	l.CheckpointTraced(func() Checkpoint {
 		return Checkpoint{Source: faultSrc, Epoch: ckEpoch, Facts: ckFacts}
-	}) // a failed checkpoint must never lose acked state
+	}, nil) // a failed checkpoint must never lose acked state
 	for e := acked + 1; e <= 6; e++ {
 		if !append1(e) {
 			return acked, true
@@ -239,7 +239,7 @@ func TestFaultSweep(t *testing.T) {
 					t.Fatalf("reopen after fault at %q: %v", failedOp, err)
 				}
 				defer m2.Close()
-				recs, skipped, err := m2.Recover()
+				recs, skipped, err := m2.Recover(nil)
 				if err != nil {
 					t.Fatalf("recover after fault at %q: %v", failedOp, err)
 				}

@@ -42,15 +42,12 @@ type Skipped struct {
 // sequence, or fails to apply — everything before it is a consistent
 // prefix, everything from it on is dropped from the log so the repaired
 // log and the recovered state agree exactly.
-func (m *Manager) Recover() ([]Recovered, []Skipped, error) {
-	return m.RecoverTraced(nil)
-}
-
-// RecoverTraced is Recover recording one "recover-session" child span
-// per session directory (checkpoint load, restore, replay phases plus
-// replayed/torn counters) under tr — the span tree the server pins into
-// the flight recorder as the startup trace. A nil tr is Recover.
-func (m *Manager) RecoverTraced(tr *trace.Span) ([]Recovered, []Skipped, error) {
+//
+// Each session directory records one "recover-session" child span
+// (checkpoint load, restore, replay phases plus replayed/torn counters)
+// under tr — the span tree the server pins into the flight recorder as
+// the startup trace. tr may be nil.
+func (m *Manager) Recover(tr *trace.Span) ([]Recovered, []Skipped, error) {
 	ents, err := m.fsys().ReadDir(m.dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: recover: %w", err)

@@ -222,15 +222,12 @@ func (l *SessionLog) LastCheckpoint() time.Time {
 // contiguously (each mutation bumps the epoch by exactly one); a gap
 // means the caller skipped logging a mutation and is rejected rather than
 // persisted as an unreplayable log.
-func (l *SessionLog) Append(epoch uint64, adds, retracts []wfs.FactRef) error {
-	return l.AppendTraced(epoch, adds, retracts, nil)
-}
-
-// AppendTraced is Append recording the durability work as a
-// "wal-append" child of tr, with the fsync (when Options.Fsync is on)
-// as its own "wal-fsync" child — the span a mutation request's trace
-// shows next to the in-memory commit. A nil tr is Append.
-func (l *SessionLog) AppendTraced(epoch uint64, adds, retracts []wfs.FactRef, tr *trace.Span) error {
+//
+// The durability work is recorded as a "wal-append" child of tr, with the
+// fsync (when Options.Fsync is on) as its own "wal-fsync" child — the
+// span a mutation request's trace shows next to the in-memory commit. tr
+// may be nil.
+func (l *SessionLog) Append(epoch uint64, adds, retracts []wfs.FactRef, tr *trace.Span) error {
 	sp := tr.Child("wal-append")
 	defer sp.End()
 	l.mu.Lock()
@@ -297,8 +294,8 @@ func (l *SessionLog) NeedCheckpoint() bool {
 		(o.CheckpointBytes > 0 && l.sinceByte >= o.CheckpointBytes)
 }
 
-// Checkpoint writes a full-state snapshot and garbage-collects the log it
-// supersedes. dump is called WITHOUT the log lock held, so a slow state
+// CheckpointTraced writes a full-state snapshot and garbage-collects the
+// log it supersedes. dump is called WITHOUT the log lock held, so a slow state
 // dump overlaps live appends; the ordering is:
 //
 //  1. rotate — close the live segment; appends continue into a fresh one.
@@ -312,12 +309,9 @@ func (l *SessionLog) NeedCheckpoint() bool {
 //
 // A crash between any two steps is safe: the old checkpoint plus the
 // complete log always reproduce the state.
-func (l *SessionLog) Checkpoint(dump func() Checkpoint) error {
-	return l.CheckpointTraced(dump, nil)
-}
-
-// CheckpointTraced is Checkpoint recording the rotate / dump / write
-// phases as a "wal-checkpoint" child of tr. A nil tr is Checkpoint.
+//
+// The rotate / dump / write phases are recorded as a "wal-checkpoint"
+// child of tr; tr may be nil.
 func (l *SessionLog) CheckpointTraced(dump func() Checkpoint, tr *trace.Span) error {
 	sp := tr.Child("wal-checkpoint")
 	defer sp.End()

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -39,7 +41,7 @@ func openLogged(t *testing.T, dir string, opts Options, name, src string) (*Mana
 		t.Fatalf("Create: %v", err)
 	}
 	sys.SetCommitHook(func(e uint64, adds, retracts []wfs.FactRef, _ *trace.Span) error {
-		return l.Append(e, adds, retracts)
+		return l.Append(e, adds, retracts, nil)
 	})
 	return man, sys, l
 }
@@ -180,10 +182,10 @@ func TestAppendRejectsEpochGap(t *testing.T) {
 	if err := sys.AddFact("move", "c", "d"); err != nil { // epoch 1, logged
 		t.Fatalf("AddFact: %v", err)
 	}
-	if err := l.Append(5, []wfs.FactRef{{Pred: "move", Args: []string{"x", "y"}}}, nil); err == nil {
+	if err := l.Append(5, []wfs.FactRef{{Pred: "move", Args: []string{"x", "y"}}}, nil, nil); err == nil {
 		t.Fatal("append with epoch gap: want error")
 	}
-	if err := l.Append(1, nil, nil); err == nil {
+	if err := l.Append(1, nil, nil, nil); err == nil {
 		t.Fatal("append replaying an old epoch: want error")
 	}
 }
@@ -263,7 +265,7 @@ func TestCrashTruncationSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: Open: %v", cut, err)
 		}
-		recs, skipped, err := man2.Recover()
+		recs, skipped, err := man2.Recover(nil)
 		if err != nil || len(skipped) != 0 || len(recs) != 1 {
 			t.Fatalf("cut %d: Recover: recs=%d skipped=%v err=%v", cut, len(recs), skipped, err)
 		}
@@ -308,7 +310,7 @@ func TestCrashTruncationSweep(t *testing.T) {
 		}
 		// The reopened log accepts the next contiguous epoch.
 		rec.Sys.SetCommitHook(func(e uint64, adds, retracts []wfs.FactRef, _ *trace.Span) error {
-			return rec.Log.Append(e, adds, retracts)
+			return rec.Log.Append(e, adds, retracts, nil)
 		})
 		if err := rec.Sys.AddFact("p", "post"); err != nil {
 			t.Fatalf("cut %d: post-recovery mutation: %v", cut, err)
@@ -385,10 +387,10 @@ func TestCrossCheckRandomScripts(t *testing.T) {
 					}
 				}
 				if op == ops/2 {
-					if err := l.Checkpoint(func() Checkpoint {
+					if err := l.CheckpointTraced(func() Checkpoint {
 						facts, epoch := sys.DumpState()
 						return Checkpoint{Source: winMove, Options: wfs.Options{}, Epoch: epoch, Facts: facts}
-					}); err != nil {
+					}, nil); err != nil {
 						t.Fatalf("mid-script checkpoint: %v", err)
 					}
 				}
@@ -401,7 +403,7 @@ func TestCrossCheckRandomScripts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
-			recs, skipped, err := man2.Recover()
+			recs, skipped, err := man2.Recover(nil)
 			if err != nil || len(skipped) != 0 || len(recs) != 1 {
 				t.Fatalf("Recover: recs=%d skipped=%v err=%v", len(recs), skipped, err)
 			}
@@ -429,7 +431,7 @@ func TestCheckpointGC(t *testing.T) {
 		facts, epoch := sys.DumpState()
 		return Checkpoint{Source: winMove, Options: wfs.Options{}, Epoch: epoch, Facts: facts}
 	}
-	if err := l.Checkpoint(dump); err != nil {
+	if err := l.CheckpointTraced(dump, nil); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	sessDir := man.sessionDir("s")
@@ -448,7 +450,7 @@ func TestCheckpointGC(t *testing.T) {
 	}
 	man.Close()
 	man2, _ := Open(dir, Options{})
-	recs, _, err := man2.Recover()
+	recs, _, err := man2.Recover(nil)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -476,7 +478,7 @@ func TestCheckpointFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	man2, _ := Open(dir, Options{})
-	recs, skipped, err := man2.Recover()
+	recs, skipped, err := man2.Recover(nil)
 	if err != nil || len(skipped) != 0 || len(recs) != 1 {
 		t.Fatalf("Recover: recs=%d skipped=%v err=%v", len(recs), skipped, err)
 	}
@@ -498,17 +500,17 @@ func TestCleanCloseReplaysNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Checkpoint(func() Checkpoint {
+	if err := l.CheckpointTraced(func() Checkpoint {
 		facts, epoch := sys.DumpState()
 		return Checkpoint{Source: winMove, Options: wfs.Options{}, Epoch: epoch, Facts: facts}
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatalf("final checkpoint: %v", err)
 	}
 	if err := man.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	man2, _ := Open(dir, Options{})
-	recs, _, err := man2.Recover()
+	recs, _, err := man2.Recover(nil)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -537,7 +539,7 @@ func TestManagerRemove(t *testing.T) {
 		t.Fatal("mutation after Remove: want commit-hook error")
 	}
 	man2, _ := Open(dir, Options{})
-	recs, skipped, err := man2.Recover()
+	recs, skipped, err := man2.Recover(nil)
 	if err != nil || len(recs) != 0 || len(skipped) != 0 {
 		t.Fatalf("Recover after Remove: recs=%d skipped=%v err=%v", len(recs), skipped, err)
 	}
@@ -591,10 +593,10 @@ func TestMetricsAccounting(t *testing.T) {
 	if snap.Checkpoints != 1 { // the Create-time checkpoint
 		t.Fatalf("checkpoints %d, want 1", snap.Checkpoints)
 	}
-	if err := l.Checkpoint(func() Checkpoint {
+	if err := l.CheckpointTraced(func() Checkpoint {
 		facts, epoch := sys.DumpState()
 		return Checkpoint{Source: winMove, Epoch: epoch, Facts: facts}
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := man.Metrics().Read().Checkpoints; got != 2 {
@@ -603,7 +605,7 @@ func TestMetricsAccounting(t *testing.T) {
 	man.Close()
 
 	man2, _ := Open(dir, Options{})
-	if _, _, err := man2.Recover(); err != nil {
+	if _, _, err := man2.Recover(nil); err != nil {
 		t.Fatal(err)
 	}
 	rsnap := man2.Metrics().Read()
@@ -611,4 +613,47 @@ func TestMetricsAccounting(t *testing.T) {
 		t.Fatalf("recovery metrics: %+v", rsnap)
 	}
 	man2.Close()
+}
+
+// TestRecoverCheckpointWithRetiredOption: a checkpoint written while
+// Options still had a Parallelism field (since removed) must recover —
+// the retired key is ignored and every surviving option reads back.
+func TestRecoverCheckpointWithRetiredOption(t *testing.T) {
+	dir := t.TempDir()
+	man, sys, _ := openLogged(t, dir, Options{}, "s", winMove)
+	if err := sys.AddFact("move", "c", "d"); err != nil {
+		t.Fatal(err)
+	}
+	man.Close()
+	facts, epoch := sys.DumpState()
+	old := Checkpoint{Name: "s", Source: winMove, Options: wfs.Options{Depth: 6}, Epoch: epoch, Facts: facts}
+	payload, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = bytes.Replace(payload, []byte(`"options":{`), []byte(`"options":{"Parallelism":4,`), 1)
+	if !bytes.Contains(payload, []byte(`"Parallelism":4`)) {
+		t.Fatalf("legacy payload not built: %s", payload)
+	}
+	sessDir := man.sessionDir("s")
+	// Replace the session's log with one checkpoint at the current epoch.
+	for _, name := range []string{ckptName(0), segName(1)} {
+		if err := os.Remove(filepath.Join(sessDir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := appendFrame(nil, payload)
+	if err := os.WriteFile(filepath.Join(sessDir, ckptName(epoch)), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man2, _ := Open(dir, Options{})
+	defer man2.Close()
+	recs, skipped, err := man2.Recover(nil)
+	if err != nil || len(skipped) != 0 || len(recs) != 1 {
+		t.Fatalf("Recover: recs=%d skipped=%v err=%v", len(recs), skipped, err)
+	}
+	if recs[0].Options.Depth != 6 {
+		t.Errorf("recovered options = %+v, want Depth 6", recs[0].Options)
+	}
+	requireSameState(t, sys, recs[0].Sys)
 }

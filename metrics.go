@@ -11,14 +11,14 @@ import (
 // with atomics so readers (the wfsd /metrics endpoint, session stats)
 // never take the system lock and never force evaluation.
 //
-// The counters are fed by walking each rung build's span tree after the
+// The counters are fed by walking each model build's span tree after the
 // build completes (snapModel.get records one whether or not the caller
-// asked for a query trace). Builds are rare — at most one per rung per
-// epoch — so the accumulation walk costs nothing measurable, and the
-// query hot path (Snapshot.Answer on materialized rungs) touches no
+// asked for a query trace). Builds are rare — at most one per chase depth
+// per epoch — so the accumulation walk costs nothing measurable, and the
+// query hot path (Snapshot.Answer on materialized models) touches no
 // atomic at all.
 type EngineMetrics struct {
-	builds  atomic.Int64 // rung/base models materialized
+	builds  atomic.Int64 // snapshot models materialized, at most one per depth per snapshot
 	rebases atomic.Int64 // of those, served by delta-rebasing a prior epoch
 
 	chaseNS    atomic.Int64 // chase run/extend + delta retract/extend-db

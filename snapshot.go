@@ -1,8 +1,10 @@
 package wfs
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -19,7 +21,7 @@ import (
 
 // maxSnapshotChain bounds how many consecutive epochs may rebase their
 // snapshots onto the previous one. Each rebased epoch adds one overlay
-// store layer per materialized rung, and ID resolution walks the layer
+// store layer per materialized model, and ID resolution walks the layer
 // chain, so unbounded chaining would slowly tax every read; past the
 // budget the next snapshot rebuilds fresh, compacting the chain.
 const maxSnapshotChain = 8
@@ -29,17 +31,20 @@ const maxSnapshotChain = 8
 // database as of that epoch. A Snapshot is safe for unlimited concurrent
 // readers and acquires no mutex on the query-answering hot path.
 //
-// Evaluation state is built lazily, at most once per snapshot, on private
-// overlay stores layered over the frozen base — so evaluation interns
-// chase-derived terms without ever mutating shared state. The
-// adaptive-deepening ladder is one chained, resumable chase: rung k+1
-// extends rung k's chase (chase.Result.Extend) into a fresh overlay over
-// rung k's frozen store instead of re-chasing from the database, and its
-// grounding appends to rung k's (ground.ExtendFromChase) with local IDs
-// kept stable. Each rung's model and store are frozen before publication,
-// preserving the immutability contract for concurrent readers of earlier
-// rungs. Query-time interning of names the snapshot has never seen goes
-// into a small per-call overlay the same way.
+// Evaluation state is built lazily on private overlay stores layered over
+// the frozen base — so evaluation interns chase-derived terms without ever
+// mutating shared state — and at most once per chase depth: the
+// well-founded model at depth d is fixed by the program, the database and
+// d, so the adaptive ladder's rungs and the configured-depth reads
+// (Select, TruthOf, Stats, …) share one model slot per depth. A deeper
+// slot resumes the chase of the deepest shallower slot already built
+// (chase.Result.Extend into a fresh overlay over its frozen store, with
+// the grounding appended by ground.ExtendFromChase) instead of
+// re-chasing from the database. Each slot's model and store are frozen
+// before publication, preserving the immutability contract for
+// concurrent readers of other slots. Query-time interning of names the
+// snapshot has never seen goes into a small per-call overlay the same
+// way.
 //
 // A Snapshot remains answerable forever: it keeps serving its epoch's
 // consistent view even after the originating System has accepted further
@@ -52,12 +57,15 @@ type Snapshot struct {
 	opts    core.Options // defaults resolved
 	epoch   uint64
 
-	base  snapModel    // model at the configured depth (Select, TruthOf, …)
-	rungs []*snapModel // adaptive-deepening ladder (Answer), chained
+	// models holds one model slot per chase depth the snapshot serves,
+	// ascending: the adaptive ladder's schedule, plus opts.Depth when it
+	// is off that schedule. Every System snapshot resolves the same
+	// options, so index i names the same depth in every epoch.
+	models []*snapModel
 
 	// Delta-rebase bookkeeping (see newSnapshot): chain counts the
 	// epochs since the last fresh build, and the safe*Len fields bound
-	// the ID-space prefix shared with every store chain any rung of this
+	// the ID-space prefix shared with every store chain any slot of this
 	// snapshot might evaluate on — the oldest rebase ancestor's base
 	// store. Compiled queries referencing only IDs below these bounds
 	// are valid against every model of the snapshot.
@@ -66,7 +74,7 @@ type Snapshot struct {
 	safeTermLen int
 	safePredLen int
 
-	// metrics points at the owning System's always-on counters; rung
+	// metrics points at the owning System's always-on counters; slot
 	// builds fold their phase spans into it (EngineMetrics.observeBuild).
 	// nil in tests that construct snapshots directly.
 	metrics *EngineMetrics
@@ -75,24 +83,17 @@ type Snapshot struct {
 	stats     Stats
 }
 
-// snapModel lazily evaluates one model over a private overlay store. The
-// mutex + done flag make construction race-free while letting a
-// cancelled build abort cleanly: a build interrupted by its caller's
-// deadline installs nothing, so the rung stays cold and the next caller
-// (with a live token) rebuilds it — a cancelled request can never poison
-// a rung for every later reader. After done is set, the model and its
-// (frozen) overlay store are read-only and reads take no lock. A
-// snapModel with a prev pointer is a ladder rung: it extends prev's
-// chase into a fresh overlay over prev's frozen store rather than
-// running a private full chase. A snapModel with a reb pointer can
-// instead rebase the same-depth rung of the previous epoch's snapshot
-// onto the applied delta — preferred when that rung was actually
-// materialized, since it reuses all of its work.
+// snapModel lazily evaluates the model at one chase depth over a private
+// overlay store. The mutex + done flag make construction race-free while
+// letting a cancelled build abort cleanly: a build interrupted by its
+// caller's deadline installs nothing, so the slot stays cold and the next
+// caller (with a live token) rebuilds it — a cancelled request can never
+// poison a slot for every later reader. After done is set, the model and
+// its (frozen) overlay store are read-only and reads take no lock.
 type snapModel struct {
 	depth int
-	prev  *snapModel // previous rung of this snapshot; nil for the first rung and for base
-	// reb links the same-depth rung of the previous epoch's snapshot
-	// (nil when fresh). It is cleared once this rung materializes — its
+	// reb links the same-index slot of the previous epoch's snapshot
+	// (nil when fresh). It is cleared once this slot materializes — its
 	// own model is then the better rebase source for later epochs, and
 	// holding the link would keep up to maxSnapshotChain epochs of
 	// evaluation state reachable. Atomic because later epochs' rebase
@@ -103,15 +104,20 @@ type snapModel struct {
 	m    *core.Model
 }
 
-// get returns (building if necessary) the rung's model. tok, when
-// non-nil, is the calling request's cancellation token: a build cut
-// short by it returns the token's cause as the error and leaves the rung
-// unbuilt. tr, when non-nil, is the caller's trace span: whichever
-// goroutine wins the build lock records the build's phase tree under it
-// (losers of the race observe only their wait; see Snapshot.rungAt). A
-// build span is recorded even with tr nil — standalone, solely to feed
-// the System's always-on EngineMetrics — which costs a handful of
-// time.Now calls on an operation that chases and solves a whole model.
+// get returns (building if necessary) the slot's model. A build takes
+// the cheapest of three routes, in order: rebase the previous epoch's
+// materialized same-depth model onto the delta (rebase); else resume the
+// chase of the deepest shallower slot of this snapshot that is already
+// built (core.ExtendModel); else evaluate from the database
+// (core.Evaluate). tok, when non-nil, is the calling request's
+// cancellation token: a build cut short by it returns the token's cause
+// as the error and leaves the slot unbuilt. tr, when non-nil, is the
+// caller's trace span: whichever goroutine wins the build lock records
+// the build's phase tree under it (losers of the race observe only their
+// wait). A build span is recorded even with tr nil — standalone, solely
+// to feed the System's always-on EngineMetrics — which costs a handful
+// of time.Now calls on an operation that chases and solves a whole
+// model.
 func (sm *snapModel) get(s *Snapshot, tok *cancel.Token, tr *trace.Span) (*core.Model, error) {
 	if sm.done.Load() {
 		return sm.m, nil
@@ -130,17 +136,10 @@ func (sm *snapModel) get(s *Snapshot, tok *cancel.Token, tr *trace.Span) (*core.
 	if rm := sm.rebase(s, tok, build); rm != nil {
 		rebased = true
 		m = rm
-	} else if sm.prev != nil {
-		// Chained rung: continue the previous rung's chase on an
-		// overlay over its (frozen) store. IDs carry over, so the
-		// extended chase and grounding append to frozen state
-		// without touching it.
-		pm, err := sm.prev.get(s, tok, tr)
-		if err != nil {
-			build.MarkCancelled()
-			build.End()
-			return nil, err
-		}
+	} else if pm := s.builtBelow(sm.depth); pm != nil {
+		// Continue the shallower model's chase on an overlay over its
+		// (frozen) store. IDs carry over, so the extended chase and
+		// grounding append to frozen state without touching it.
 		ost := atom.NewOverlay(pm.Chase.Prog.Store)
 		m = core.ExtendModel(pm, s.prog.WithStore(ost), s.opts, sm.depth, tok, build)
 		ost.Freeze()
@@ -165,13 +164,26 @@ func (sm *snapModel) get(s *Snapshot, tok *cancel.Token, tr *trace.Span) (*core.
 	return sm.m, nil
 }
 
-// rebase carries the nearest already-materialized same-depth rung of an
+// builtBelow returns the model of the deepest slot shallower than depth
+// that is already materialized, or nil. It never builds: a deeper slot
+// only reuses work some reader already asked for.
+func (s *Snapshot) builtBelow(depth int) *core.Model {
+	i, _ := s.slotIndex(depth)
+	for i--; i >= 0; i-- {
+		if sm := s.models[i]; sm.done.Load() {
+			return sm.m
+		}
+	}
+	return nil
+}
+
+// rebase carries the nearest already-materialized same-depth slot of an
 // earlier epoch across the accumulated database delta: the snapshot's
-// database is translated into that rung's ID space (a fresh overlay over
-// its frozen store) and core.RebaseModel diffs it against the rung's own
+// database is translated into that slot's ID space (a fresh overlay over
+// its frozen store) and core.RebaseModel diffs it against the slot's own
 // chase database, so any number of intermediate epochs collapse into one
-// rebase. Rungs that were never materialized are skipped — rebasing must
-// never force old evaluation work that nobody asked for. (A skipped rung
+// rebase. Slots that were never materialized are skipped — rebasing must
+// never force old evaluation work that nobody asked for. (A skipped slot
 // that materializes mid-walk may have just cleared its own reb link; the
 // walk then simply ends and get falls back to a fresh build.) Returns
 // nil when no rebase source exists, leaving get on its fresh-build
@@ -200,7 +212,7 @@ func (sm *snapModel) rebase(s *Snapshot, tok *cancel.Token, tr *trace.Span) *cor
 }
 
 // translateDB maps the snapshot's database — interned in the current
-// master-clone store — into the ID space of an older rung's store chain.
+// master-clone store — into the ID space of an older slot's store chain.
 // Both chains share the master store's history up to the oldest rebase
 // ancestor, so atoms below the safe prefix carry over verbatim; newer
 // atoms (facts added since that ancestor's epoch) re-intern by name into
@@ -239,10 +251,10 @@ func (s *Snapshot) translateDB(to *atom.Store) (program.Database, bool) {
 
 // newSnapshot builds a snapshot from an already-frozen store clone and a
 // clipped database slice. When prevSnap is non-nil (the last published
-// snapshot, staged across a mutation), every rung links to its same-depth
+// snapshot, staged across a mutation), every slot links to its same-depth
 // predecessor so evaluation can rebase the predecessor's materialized
 // work onto the delta instead of rebuilding; the safe ID-space bounds are
-// inherited, since a rebased rung may serve from any ancestor's chain.
+// inherited, since a rebased slot may serve from any ancestor's chain.
 // Callers (System.Snapshot) hold the system lock.
 func newSnapshot(store *atom.Store, prog *program.Program, db program.Database,
 	queries []*program.Query, opts core.Options, epoch uint64, prevSnap *Snapshot,
@@ -267,20 +279,20 @@ func newSnapshot(store *atom.Store, prog *program.Program, db program.Database,
 		s.safeTermLen = store.Terms.Len()
 		s.safePredLen = store.NumPreds()
 	}
-	s.base = snapModel{depth: opts.Depth}
-	if prevSnap != nil {
-		s.base.reb.Store(&prevSnap.base)
-	}
-	var prev *snapModel
-	i := 0
+	var depths []int
 	for d := opts.AdaptiveStart; d <= opts.MaxDepth; d += opts.AdaptiveStep {
-		sm := &snapModel{depth: d, prev: prev}
-		if prevSnap != nil && i < len(prevSnap.rungs) && prevSnap.rungs[i].depth == d {
-			sm.reb.Store(prevSnap.rungs[i])
+		depths = append(depths, d)
+	}
+	if i, ok := slices.BinarySearch(depths, opts.Depth); !ok {
+		depths = slices.Insert(depths, i, opts.Depth)
+	}
+	s.models = make([]*snapModel, len(depths))
+	for i, d := range depths {
+		sm := &snapModel{depth: d}
+		if prevSnap != nil && i < len(prevSnap.models) && prevSnap.models[i].depth == d {
+			sm.reb.Store(prevSnap.models[i])
 		}
-		s.rungs = append(s.rungs, sm)
-		prev = sm
-		i++
+		s.models[i] = sm
 	}
 	return s
 }
@@ -295,7 +307,7 @@ func (s *Snapshot) NumFacts() int { return len(s.db) }
 // interning unknown names into a per-call overlay over m's store. When
 // compilation interns nothing new AND references only IDs below the
 // snapshot's safe shared prefix, the result is valid against every model
-// of this snapshot — including delta-rebased rungs living on earlier
+// of this snapshot — including delta-rebased slots living on earlier
 // epochs' store chains, where IDs above the prefix mean different things
 // — and is cached in the Query for lock-free reuse.
 func (s *Snapshot) compileFor(q *Query, m *core.Model) (*program.Query, error) {
@@ -333,35 +345,58 @@ func queryWithin(cq *program.Query, maxPred, maxTerm int) bool {
 }
 
 // answerLadder runs the adaptive ladder (core.AdaptiveAnswer) over the
-// snapshot's cached rungs: each depth resolves to a model built at most
-// once per snapshot.
-// compile resolves the query against each rung's ID space; tr (nil on
-// the hot path) records the per-depth phase breakdown.
+// snapshot's model slots: each depth resolves to a model built at most
+// once per snapshot. compile resolves the query against each model's ID
+// space; tr (nil on the hot path) records the per-depth phase breakdown.
 func (s *Snapshot) answerLadder(compile func(*core.Model) (*program.Query, error), tok *cancel.Token, tr *trace.Span) (Truth, *core.AnswerStats, error) {
 	modelAt := func(depth int, tr *trace.Span) (*core.Model, error) {
-		return s.rungAt(depth, tok, tr)
+		return s.modelAt(depth, tok, tr)
 	}
 	return core.AdaptiveAnswer(s.opts, modelAt, compile, tok, tr)
 }
 
-// rungAt returns (building if necessary) the ladder model at the given
-// depth. The rung schedule is derived from the same resolved options
-// AdaptiveAnswer iterates with, so every requested depth has a rung; a
-// mismatch (which would indicate option drift between the snapshot and
-// the ladder) is reported as an error through answerLadder rather than a
-// panic, so it can never crash a serving process. tr, when non-nil,
-// receives the rung's build phase tree — or only the wait, if another
-// goroutine is mid-build (the sync.Once winner records the work).
-func (s *Snapshot) rungAt(depth int, tok *cancel.Token, tr *trace.Span) (*core.Model, error) {
-	if len(s.rungs) == 0 || s.opts.AdaptiveStep <= 0 {
-		return nil, fmt.Errorf("wfs: no snapshot rung at depth %d (empty ladder)", depth)
+// slotIndex binary-searches the ascending slots for depth: the index of
+// its slot, or where one would go, and whether it exists.
+func (s *Snapshot) slotIndex(depth int) (int, bool) {
+	return slices.BinarySearchFunc(s.models, depth, func(sm *snapModel, d int) int { return cmp.Compare(sm.depth, d) })
+}
+
+// slot returns the model slot at depth, or nil when the snapshot serves
+// no such depth.
+func (s *Snapshot) slot(depth int) *snapModel {
+	if i, ok := s.slotIndex(depth); ok {
+		return s.models[i]
 	}
-	i := (depth - s.opts.AdaptiveStart) / s.opts.AdaptiveStep
-	if i < 0 || i >= len(s.rungs) || s.rungs[i].depth != depth {
-		return nil, fmt.Errorf("wfs: no snapshot rung at depth %d (schedule start %d step %d × %d rungs)",
-			depth, s.opts.AdaptiveStart, s.opts.AdaptiveStep, len(s.rungs))
+	return nil
+}
+
+// modelAt returns (building if necessary) the model at the given depth.
+// The slots are derived from the same resolved options AdaptiveAnswer
+// iterates with, so every depth the ladder requests has one; a mismatch
+// (which would indicate option drift between the snapshot and the
+// ladder) is reported as an error rather than a panic, so it can never
+// crash a serving process. tr, when non-nil, receives the slot's build
+// phase tree — or only the wait, if another goroutine is mid-build.
+func (s *Snapshot) modelAt(depth int, tok *cancel.Token, tr *trace.Span) (*core.Model, error) {
+	sm := s.slot(depth)
+	if sm == nil {
+		return nil, fmt.Errorf("wfs: no snapshot model at depth %d (schedule start %d step %d max %d, configured depth %d)",
+			depth, s.opts.AdaptiveStart, s.opts.AdaptiveStep, s.opts.MaxDepth, s.opts.Depth)
 	}
-	return s.rungs[i].get(s, tok, tr)
+	return sm.get(s, tok, tr)
+}
+
+// configured returns the model at the configured depth (opts.Depth),
+// building it on first use: the one accessor of every configured-depth
+// read. The error is *ErrBudgetExceeded when the MaxAtoms valve truncated
+// the model's chase; the model is returned regardless, because the
+// introspection reads (Stats, TrueFacts, UndefinedFacts,
+// CheckConstraints) serve the truncated universe — a sound lower
+// approximation — while the answer-shaped reads (Select, TruthOf,
+// Explain, WCheck) refuse it, like the ladder does.
+func (s *Snapshot) configured() (*core.Model, error) {
+	m, _ := s.slot(s.opts.Depth).get(s, nil, nil) // a nil token never cancels
+	return m, m.Chase.BudgetErr()
 }
 
 // Answer evaluates a prepared NBCQ by adaptive deepening and returns the
@@ -384,11 +419,8 @@ func (s *Snapshot) Answer(q *Query) (Truth, error) {
 // query that fails to compile) falls back to the full token-carrying
 // ladder, which re-encounters and properly reports any error.
 func (s *Snapshot) answerWarmExact(q *Query) (Truth, *core.AnswerStats, bool) {
-	if len(s.rungs) == 0 {
-		return False, nil, false
-	}
-	sm := s.rungs[0]
-	if !sm.done.Load() {
+	sm := s.slot(s.opts.AdaptiveStart)
+	if sm == nil || !sm.done.Load() {
 		return False, nil, false
 	}
 	m := sm.m
@@ -416,7 +448,7 @@ func (s *Snapshot) answerWarmExact(q *Query) (Truth, *core.AnswerStats, bool) {
 // The evaluation polls ctx's cancellation cooperatively (every ~1024
 // chase steps, every SCC of the fixpoint, every few rungs of the ladder)
 // and returns ctx's error — context.DeadlineExceeded or context.Canceled
-// — when it fires. A cancelled build installs nothing: the rung stays
+// — when it fires. A cancelled build installs nothing: the slot stays
 // cold and later callers rebuild it. On cancellation the stats of the
 // rungs that completed before the deadline are returned alongside the
 // error, so callers opting into graceful degradation can serve the
@@ -461,25 +493,21 @@ func (s *Snapshot) AnswerCtxTraced(ctx context.Context, q *Query, root *trace.Sp
 		return s.compileFor(q, m)
 	}, tok, ladder)
 	ladder.End()
-	// The ladder has returned: every rung build ran synchronously under
-	// its rung lock and every solver worker was joined, so nothing can
-	// still poll the token — recycle it (it is a measurable share of the
-	// warm answer path's cost).
+	// The ladder has returned: every build ran synchronously under its
+	// slot lock, so nothing can still poll the token — recycle it (it is
+	// a measurable share of the warm answer path's cost).
 	tok.Release()
 	return t, st, err
 }
 
-// WarmRebased eagerly materializes the base model and every ladder rung
-// whose previous-epoch counterpart was already materialized, recording
-// the work — including the delta-rebase spans — under tr. The server's
+// WarmRebased eagerly materializes every model slot whose
+// previous-epoch counterpart was already materialized, recording the
+// work — including the delta-rebase spans — under tr. The server's
 // mutation path calls this so the rebase a mutation causes lands in the
 // mutating request's trace (and its latency bill) instead of ambushing
 // the next reader; models that were cold before the mutation stay cold.
 func (s *Snapshot) WarmRebased(tr *trace.Span) {
-	if r := s.base.reb.Load(); r != nil && r.done.Load() {
-		s.base.get(s, nil, tr)
-	}
-	for _, sm := range s.rungs {
+	for _, sm := range s.models {
 		if r := sm.reb.Load(); r != nil && r.done.Load() {
 			sm.get(s, nil, tr)
 		}
@@ -495,7 +523,7 @@ func (s *Snapshot) answerCompiled(cq *program.Query) (Truth, error) {
 }
 
 // AnswerAll answers every query embedded in the loaded source. A ladder
-// evaluation error (an invalid schedule or rung mismatch) is carried on
+// evaluation error (an invalid schedule or slot mismatch) is carried on
 // the result rather than rendered as a silent False answer.
 func (s *Snapshot) AnswerAll() []QueryResult {
 	out := make([]QueryResult, 0, len(s.queries))
@@ -514,8 +542,8 @@ func (s *Snapshot) AnswerAll() []QueryResult {
 // chase, Select returns *ErrBudgetExceeded like the ladder does instead
 // of answering from a partial universe.
 func (s *Snapshot) Select(q *Query) ([]string, [][]string, error) {
-	m, _ := s.base.get(s, nil, nil)
-	if err := m.Chase.BudgetErr(); err != nil {
+	m, err := s.configured()
+	if err != nil {
 		return nil, nil, err
 	}
 	cq, err := s.compileFor(q, m)
@@ -551,9 +579,13 @@ func (s *Snapshot) groundAtom(m *core.Model, src string) (atom.AtomID, *atom.Sto
 }
 
 // TruthOf returns the truth of a ground atom written in surface syntax,
-// e.g. TruthOf("win(a)"), in the configured-depth model.
+// e.g. TruthOf("win(a)"), in the configured-depth model, or
+// *ErrBudgetExceeded when that model's chase was truncated.
 func (s *Snapshot) TruthOf(atomSrc string) (Truth, error) {
-	m, _ := s.base.get(s, nil, nil)
+	m, err := s.configured()
+	if err != nil {
+		return False, err
+	}
 	a, _, err := s.groundAtom(m, atomSrc)
 	if err != nil {
 		return False, err
@@ -563,10 +595,14 @@ func (s *Snapshot) TruthOf(atomSrc string) (Truth, error) {
 
 // Explain renders a forward proof (Definition 5) of a ground atom. The
 // boolean reports whether the atom is true in the model (only true atoms
-// have forward proofs); the error reports malformed input. The two are
-// distinct: a parse failure is an error, not "false".
+// have forward proofs); the error reports malformed input or a truncated
+// chase (*ErrBudgetExceeded). The two are distinct: a parse failure is
+// an error, not "false".
 func (s *Snapshot) Explain(atomSrc string) (string, bool, error) {
-	m, _ := s.base.get(s, nil, nil)
+	m, err := s.configured()
+	if err != nil {
+		return "", false, err
+	}
 	a, ost, err := s.groundAtom(m, atomSrc)
 	if err != nil {
 		return "", false, err
@@ -579,9 +615,14 @@ func (s *Snapshot) Explain(atomSrc string) (string, bool, error) {
 	return proof.Render(ost), true, nil
 }
 
-// WCheck runs the goal-directed membership check on a ground atom.
+// WCheck runs the goal-directed membership check on a ground atom of the
+// configured-depth model, or returns *ErrBudgetExceeded when that model's
+// chase was truncated.
 func (s *Snapshot) WCheck(atomSrc string) (Truth, *core.WCheckStats, error) {
-	m, _ := s.base.get(s, nil, nil)
+	m, err := s.configured()
+	if err != nil {
+		return False, nil, err
+	}
 	a, _, err := s.groundAtom(m, atomSrc)
 	if err != nil {
 		return False, nil, err
@@ -593,7 +634,7 @@ func (s *Snapshot) WCheck(atomSrc string) (Truth, *core.WCheckStats, error) {
 // CheckConstraints evaluates the program's negative constraints and EGDs
 // against the configured-depth model.
 func (s *Snapshot) CheckConstraints() []core.Violation {
-	m, _ := s.base.get(s, nil, nil)
+	m, _ := s.configured()
 	return m.CheckConstraints()
 }
 
@@ -611,7 +652,7 @@ func (s *Snapshot) UndefinedFacts() []string { return s.renderFacts(ground.Undef
 // system lock is held — and preallocates the output from a filtered count
 // so rendering large models does not repeatedly regrow the slice.
 func (s *Snapshot) renderFacts(tv Truth) []string {
-	m, _ := s.base.get(s, nil, nil)
+	m, _ := s.configured()
 	st := m.Chase.Prog.Store
 	usable := func(g atom.AtomID) bool {
 		return m.UsableDepth < 0 || m.Chase.Depth(g) <= m.UsableDepth
@@ -636,7 +677,7 @@ func (s *Snapshot) renderFacts(tv Truth) []string {
 // once per snapshot and cached; concurrent callers share it.
 func (s *Snapshot) Stats() Stats {
 	s.statsOnce.Do(func() {
-		m, _ := s.base.get(s, nil, nil)
+		m, _ := s.configured()
 		_, strat := s.prog.Stratify()
 		delta := core.DeltaForSchema(s.store)
 		s.stats = Stats{

@@ -80,9 +80,9 @@ func TestSnapshotRungsMatchFromScratch(t *testing.T) {
 	}
 	opts := snap.opts
 	for d := opts.AdaptiveStart; d <= opts.MaxDepth && d <= opts.AdaptiveStart+3*opts.AdaptiveStep; d += opts.AdaptiveStep {
-		rm, err := snap.rungAt(d, nil, nil)
+		rm, err := snap.modelAt(d, nil, nil)
 		if err != nil {
-			t.Fatalf("rungAt(%d): %v", d, err)
+			t.Fatalf("modelAt(%d): %v", d, err)
 		}
 		scratch := core.Evaluate(sys.prog, sys.db, opts, d, nil, nil)
 		if got, want := renderTruths(rm), renderTruths(scratch); got != want {
@@ -125,12 +125,12 @@ func TestRungAtOffScheduleError(t *testing.T) {
 	}
 	snap, _ := sys.Snapshot()
 	for _, d := range []int{-1, 0, 3, 5, 999} { // schedule is 4,6,…,24
-		if _, err := snap.rungAt(d, nil, nil); err == nil {
-			t.Errorf("rungAt(%d) did not error", d)
+		if _, err := snap.modelAt(d, nil, nil); err == nil {
+			t.Errorf("modelAt(%d) did not error", d)
 		}
 	}
-	if m, err := snap.rungAt(4, nil, nil); err != nil || m == nil {
-		t.Errorf("rungAt(4) = %v, %v; want a model", m, err)
+	if m, err := snap.modelAt(4, nil, nil); err != nil || m == nil {
+		t.Errorf("modelAt(4) = %v, %v; want a model", m, err)
 	}
 }
 
